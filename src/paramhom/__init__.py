@@ -13,7 +13,7 @@ from .diagrams import (BehaviorType, DecoratedDiagram, DecoratedPoint,
                        Decoration, Rectangle)
 from .extended import (ExtendedType, extended_diagrams, extended_direct,
                        extended_from_parametrized)
-from .fieldlin import FieldScalar, PrimeField
+from .fieldlin import PrimeField
 from .levelset import all_diagrams, levelset_zigzag, translate
 from .measures import measure_direct, measure_profile, measure_via_diagram
 from .rspace import ConstructibleRSpace, refine
@@ -30,7 +30,6 @@ __all__ = [
     "Decoration",
     "DualityError",
     "ExtendedType",
-    "FieldScalar",
     "PrimeField",
     "Rectangle",
     "SimplicialComplex",

@@ -10,11 +10,10 @@ at finite cost.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-from .diagrams import BehaviorType
+from .diagrams import BehaviorType, undecorate
 from .levelset import all_diagrams
 from .rspace import ConstructibleRSpace
 
@@ -162,8 +161,6 @@ def stability_report(X: ConstructibleRSpace, Y: ConstructibleRSpace,
     for k in range(max(X.max_piece_dimension(), 0) + 2):
         DX, DY = all_diagrams(X, k), all_diagrams(Y, k)
         for t in BehaviorType:
-            A = Counter({(pt.p, pt.q): m for pt, m in DX[t].points()})
-            B = Counter({(pt.p, pt.q): m for pt, m in DY[t].points()})
-            d = bottleneck_distance(A, B)
+            d = bottleneck_distance(undecorate(DX[t]), undecorate(DY[t]))
             report[(k, t)] = StabilityRecord(d, delta, d <= delta + tolerance)
     return report

@@ -9,7 +9,7 @@ matrices are reproducible across runs.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from bisect import bisect_left
 from typing import Hashable, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -18,7 +18,6 @@ from .fieldlin import PrimeField
 
 __all__ = [
     "SimplicialComplex",
-    "SimplicialMap",
     "ChainComplex",
     "ChainMap",
     "HomologyBasis",
@@ -30,8 +29,6 @@ __all__ = [
     "telescope",
     "subcomplex",
     "quotient_complex",
-    "relative_complex",
-    "euler_characteristic",
 ]
 
 
@@ -72,7 +69,12 @@ class SimplicialComplex:
 
     def has_simplex(self, s: Sequence[Hashable]) -> bool:
         t = tuple(sorted(s))
-        return t in set(self.simplices.get(len(t) - 1, []))
+        row = self.simplices.get(len(t) - 1, [])
+        try:
+            i = bisect_left(row, t)
+        except TypeError:  # ids not comparable with this complex's: no match
+            return False
+        return i < len(row) and row[i] == t
 
     def __eq__(self, other) -> bool:
         return isinstance(other, SimplicialComplex) and self.simplices == other.simplices
@@ -81,22 +83,11 @@ class SimplicialComplex:
         return f"SimplicialComplex({self.n_simplices()} simplices, dim {self.dimension})"
 
 
-@dataclass(frozen=True)
-class SimplicialMap:
-    """A vertex map inducing a simplicial map; validity is checked on use."""
-
-    vertex_map: Mapping
-
-
-def _as_vertex_map(f) -> Mapping:
-    return f.vertex_map if isinstance(f, SimplicialMap) else f
-
-
 class ChainComplex:
     """Based chain complex: ordered basis labels and boundary matrices.
 
     boundaries[k] maps degree k to degree k-1 and has shape
-    (dim(k-1), dim(k)).  The constructor asserts d @ d = 0 in every degree.
+    (dim(k-1), dim(k)).  The constructor checks d @ d = 0 in every degree.
     """
 
     def __init__(self, field: PrimeField, labels: dict[int, list],
@@ -106,12 +97,13 @@ class ChainComplex:
         self.boundaries = {}
         for k, M in boundaries.items():
             M = field.normalize(M)
-            assert M.shape == (self.dim(k - 1), self.dim(k)), (k, M.shape)
+            if M.shape != (self.dim(k - 1), self.dim(k)):
+                raise ValueError(f"boundary {k} has shape {M.shape}")
             if M.size:
                 self.boundaries[k] = M
         for k in self.degrees():
-            dd = field.matmul(self.boundary(k), self.boundary(k + 1))
-            assert not dd.any(), f"d o d != 0 at degree {k + 1}"
+            if field.matmul(self.boundary(k), self.boundary(k + 1)).any():
+                raise ValueError(f"d o d != 0 at degree {k + 1}")
 
     def degrees(self) -> list[int]:
         return sorted(self.labels)
@@ -129,47 +121,40 @@ class ChainComplex:
             return self.field.zeros(self.dim(k - 1), self.dim(k))
         return M
 
-    def total_dim(self) -> int:
-        return sum(len(v) for v in self.labels.values())
-
     def __repr__(self) -> str:
         dims = {k: self.dim(k) for k in self.degrees()}
         return f"ChainComplex(F{self.field.p}, dims={dims})"
 
 
 class ChainMap:
-    """Degreewise matrices commuting with the boundaries (asserted)."""
+    """Degreewise matrices commuting with the boundaries (checked)."""
 
     def __init__(self, src: ChainComplex, tgt: ChainComplex,
                  matrices: dict[int, np.ndarray], check: bool = True):
-        assert src.field == tgt.field
+        if src.field != tgt.field:
+            raise ValueError("chain map between different fields")
         self.src = src
         self.tgt = tgt
         self.field = src.field
         self.matrices = {}
         for k, M in matrices.items():
             M = self.field.normalize(M)
-            assert M.shape == (tgt.dim(k), src.dim(k)), (k, M.shape)
+            if M.shape != (tgt.dim(k), src.dim(k)):
+                raise ValueError(f"chain map matrix {k} has shape {M.shape}")
             if M.size:
                 self.matrices[k] = M
         if check:
             for k in set(src.degrees()) | set(tgt.degrees()):
                 lhs = self.field.matmul(tgt.boundary(k), self.matrix(k))
                 rhs = self.field.matmul(self.matrix(k - 1), src.boundary(k))
-                assert np.array_equal(lhs, rhs), f"chain map fails to commute at degree {k}"
+                if not np.array_equal(lhs, rhs):
+                    raise ValueError(f"chain map fails to commute at degree {k}")
 
     def matrix(self, k: int) -> np.ndarray:
         M = self.matrices.get(k)
         if M is None:
             return self.field.zeros(self.tgt.dim(k), self.src.dim(k))
         return M
-
-    def compose(self, inner: "ChainMap") -> "ChainMap":
-        """self o inner."""
-        assert inner.tgt is self.src or inner.tgt.labels == self.src.labels
-        ks = set(inner.matrices) | set(self.matrices)
-        mats = {k: self.field.matmul(self.matrix(k), inner.matrix(k)) for k in ks}
-        return ChainMap(inner.src, self.tgt, mats, check=False)
 
     @staticmethod
     def identity(C: ChainComplex) -> "ChainMap":
@@ -211,21 +196,16 @@ def _sorted_with_sign(verts: tuple) -> tuple[tuple, int]:
     return tuple(items), sign
 
 
-def induced_chain_map(f, src: SimplicialComplex, tgt: SimplicialComplex,
-                      src_chain: ChainComplex | None = None,
-                      tgt_chain: ChainComplex | None = None,
-                      field: PrimeField | None = None) -> ChainMap:
+def induced_chain_map(vmap: Mapping, src: SimplicialComplex, tgt: SimplicialComplex,
+                      src_chain: ChainComplex, tgt_chain: ChainComplex) -> ChainMap:
     """Chain map induced by a vertex map; degenerate images map to 0.
+
+    src_chain and tgt_chain are the chain complexes of src and tgt.
 
     Raises:
         ValueError: if the vertex map is undefined on a vertex of src or the
             image of some simplex is not a simplex of tgt.
     """
-    vmap = _as_vertex_map(f)
-    if src_chain is None or tgt_chain is None:
-        assert field is not None, "need chain complexes or a field"
-        src_chain = src_chain or chain_complex(src, field)
-        tgt_chain = tgt_chain or chain_complex(tgt, field)
     fld = src_chain.field
     tgt_index = {k: {s: i for i, s in enumerate(v)} for k, v in tgt.simplices.items()}
     matrices = {}
@@ -289,23 +269,17 @@ def induced_homology_map(f: ChainMap, src_h: HomologyBasis,
     return field.matmul(tgt_h.projection, pushed)
 
 
-def euler_characteristic(C: ChainComplex) -> int:
-    return sum((-1) ** k * C.dim(k) for k in C.degrees())
-
-
 class TelescopeResult:
-    """Total complex of a zigzag of spaces, with the canonical inclusions.
+    """Total complex of a zigzag of spaces, with the inclusions of its nodes.
 
     Labels are ("v", t, lbl) for generators of node t and ("e", t, lbl) for
     the degree-shifted generators of edge t, so block membership is
     recoverable from the labels alone.
     """
 
-    def __init__(self, complex: ChainComplex, node_inclusions: list[ChainMap],
-                 edge_inclusions: list[tuple[ChainMap, ChainMap]]):
+    def __init__(self, complex: ChainComplex, node_inclusions: list[ChainMap]):
         self.complex = complex
         self.node_inclusions = node_inclusions
-        self.edge_inclusions = edge_inclusions
 
 
 def telescope(nodes: Sequence[ChainComplex],
@@ -383,11 +357,7 @@ def telescope(nodes: Sequence[ChainComplex],
             M[off:off + V.dim(k), :] = field.identity(V.dim(k))
             mats[k] = M
         node_inclusions.append(ChainMap(V, total, mats, check=False))
-    edge_inclusions = []
-    for t, (E, l, r) in enumerate(edges):
-        edge_inclusions.append((node_inclusions[t].compose(l),
-                                node_inclusions[t + 1].compose(r)))
-    return TelescopeResult(total, node_inclusions, edge_inclusions)
+    return TelescopeResult(total, node_inclusions)
 
 
 def subcomplex(C: ChainComplex, columns: dict[int, Sequence[int]]) -> tuple[ChainComplex, ChainMap]:
@@ -461,8 +431,3 @@ def quotient_complex(C: ChainComplex, columns: dict[int, Sequence[int]]
             boundaries[k] = field.zeros(0, len(labels[k]))
     Q = ChainComplex(field, labels, boundaries)
     return Q, projs, secs
-
-
-def relative_complex(C: ChainComplex, columns: dict[int, Sequence[int]]) -> ChainComplex:
-    """The quotient complex computing relative homology of (C, sub)."""
-    return quotient_complex(C, columns)[0]

@@ -1,4 +1,4 @@
-"""Decorated persistence diagrams, rectangles, and diagram extraction.
+"""Decorated persistence diagrams and rectangles.
 
 A feature interval has one of four endpoint behaviours, encoded as a
 BehaviorType: each end is closed (the feature is present at the endpoint
@@ -22,7 +22,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 __all__ = [
     "BehaviorType",
@@ -30,9 +30,7 @@ __all__ = [
     "DecoratedPoint",
     "DecoratedDiagram",
     "Rectangle",
-    "MeasureNotAdditiveError",
     "contains",
-    "extract_diagram",
     "undecorate",
 ]
 
@@ -203,91 +201,3 @@ def undecorate(D: DecoratedDiagram) -> Counter:
     for pt, m in D.points():
         out[(pt.p, pt.q)] += m
     return out
-
-
-class MeasureNotAdditiveError(Exception):
-    """A rectangle measure failed an additivity split-check."""
-
-
-def _split_points(lo: float, hi: float) -> float:
-    if lo == -math.inf:
-        return hi - 1.0
-    if hi == math.inf:
-        return lo + 1.0
-    return (lo + hi) / 2.0
-
-
-def _checked(measure: Callable[[Rectangle], int], R: Rectangle) -> int:
-    """Evaluate the measure and verify additivity under one vertical and one
-    horizontal split of R."""
-    v = measure(R)
-    x = _split_points(R.a, R.b)
-    if R.a < x < R.b:
-        left = measure(Rectangle(R.a, x, R.c, R.d))
-        right = measure(Rectangle(x, R.b, R.c, R.d))
-        if left + right != v:
-            raise MeasureNotAdditiveError(
-                f"vertical split of {R!r} at {x}: {left} + {right} != {v}")
-    y = _split_points(R.c, R.d)
-    if R.c < y < R.d:
-        low = measure(Rectangle(R.a, R.b, R.c, y))
-        high = measure(Rectangle(R.a, R.b, y, R.d))
-        if low + high != v:
-            raise MeasureNotAdditiveError(
-                f"horizontal split of {R!r} at {y}: {low} + {high} != {v}")
-    return v
-
-
-def extract_diagram(measure: Callable[[Rectangle], int],
-                    critical_values: Sequence[float],
-                    btype: BehaviorType) -> DecoratedDiagram:
-    """Read a decorated diagram off a rectangle measure.
-
-    Feature endpoints of a constructible space sit at critical values (or at
-    infinity for open ends), so the content of the measure is recovered by
-    probing one small rectangle per candidate endpoint pair.  The probe
-    half-width is a quarter of the minimal critical gap: small enough that a
-    probe touches no other critical value and stays below the diagonal even
-    for adjacent candidates.  Every probe is additivity-checked by splitting
-    it once in each direction.
-
-    Raises:
-        MeasureNotAdditiveError: if a split-check fails.
-    """
-    vals = sorted(set(float(v) for v in critical_values))
-    if not vals:
-        return DecoratedDiagram()
-    gaps = [b - a for a, b in zip(vals, vals[1:])]
-    eps = min(gaps) / 4.0 if gaps else 1.0
-    pdec, qdec = btype.decorations
-
-    p_candidates: list[float] = list(vals)
-    if not btype.left_closed:
-        p_candidates = [-math.inf] + p_candidates
-    q_candidates: list[float] = list(vals)
-    if not btype.right_closed:
-        q_candidates = q_candidates + [math.inf]
-
-    diagram = DecoratedDiagram()
-    for pc in p_candidates:
-        for qc in q_candidates:
-            if not pc < qc:
-                continue
-            if pc == -math.inf:
-                pa, pb = -math.inf, vals[0] - eps
-            elif btype.left_closed:
-                pa, pb = pc - eps, pc
-            else:
-                pa, pb = pc, pc + eps
-            if qc == math.inf:
-                qa, qb = vals[-1] + eps, math.inf
-            elif btype.right_closed:
-                qa, qb = qc, qc + eps
-            else:
-                qa, qb = qc - eps, qc
-            if not pb < qa:
-                continue  # no feature can have this endpoint pair
-            m = _checked(measure, Rectangle(pa, pb, qa, qb))
-            if m:
-                diagram.add(DecoratedPoint(pc, pdec, qc, qdec), m)
-    return diagram

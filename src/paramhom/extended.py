@@ -26,8 +26,6 @@ import math
 from enum import Enum
 from typing import Mapping
 
-import numpy as np
-
 from .complexes import (ChainComplex, ChainMap, homology, induced_homology_map,
                         quotient_complex, subcomplex, telescope)
 from .diagrams import BehaviorType, DecoratedDiagram, Rectangle

@@ -10,11 +10,9 @@ arithmetic; there is no floating point anywhere in this module.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-__all__ = ["FieldScalar", "PrimeField", "QuotientMap"]
+__all__ = ["PrimeField", "QuotientMap"]
 
 
 def _is_prime(n: int) -> bool:
@@ -28,40 +26,6 @@ def _is_prime(n: int) -> bool:
             return False
         d += 2
     return True
-
-
-@dataclass(frozen=True)
-class FieldScalar:
-    """A residue in F_p.  Mostly documentation; hot paths use raw ints."""
-
-    value: int
-    p: int
-
-    def __post_init__(self) -> None:
-        if not _is_prime(self.p):
-            raise ValueError(f"characteristic {self.p} is not prime")
-        object.__setattr__(self, "value", self.value % self.p)
-
-    def _check(self, other: "FieldScalar") -> None:
-        if self.p != other.p:
-            raise ValueError("mixed characteristics")
-
-    def __add__(self, other: "FieldScalar") -> "FieldScalar":
-        self._check(other)
-        return FieldScalar(self.value + other.value, self.p)
-
-    def __sub__(self, other: "FieldScalar") -> "FieldScalar":
-        self._check(other)
-        return FieldScalar(self.value - other.value, self.p)
-
-    def __mul__(self, other: "FieldScalar") -> "FieldScalar":
-        self._check(other)
-        return FieldScalar(self.value * other.value, self.p)
-
-    def inverse(self) -> "FieldScalar":
-        if self.value == 0:
-            raise ZeroDivisionError("0 has no inverse")
-        return FieldScalar(pow(self.value, self.p - 2, self.p), self.p)
 
 
 class QuotientMap:
@@ -83,10 +47,6 @@ class QuotientMap:
         self.projection = projection
         self.representatives = representatives
 
-    def __iter__(self):
-        # allows `dim, proj = quotient_map(...)` unpacking
-        return iter((self.dimension, self.projection))
-
 
 class PrimeField:
     """F_p together with exact matrix routines.
@@ -99,9 +59,11 @@ class PrimeField:
         if not _is_prime(p):
             raise ValueError(f"characteristic {p} is not prime")
         if p >= 1 << 25:
-            # keeps n * (p-1)^2 far below int64 overflow in matmul
+            # keeps (p-1)^2 and every rref update far below int64 overflow
             raise ValueError(f"characteristic {p} too large for exact int64 arithmetic")
         self.p = p
+        # longest inner dimension whose dot products cannot overflow int64
+        self._max_inner = (2 ** 63 - 1) // (p - 1) ** 2
 
     def __repr__(self) -> str:
         return f"PrimeField({self.p})"
@@ -128,8 +90,15 @@ class PrimeField:
         return np.eye(n, dtype=np.int64)
 
     def matmul(self, A: np.ndarray, B: np.ndarray) -> np.ndarray:
-        assert A.shape[1] == B.shape[0], (A.shape, B.shape)
-        return (A @ B) % self.p
+        n, step = A.shape[1], self._max_inner
+        if n != B.shape[0]:
+            raise ValueError(f"shapes {A.shape} and {B.shape} do not compose")
+        if n <= step:
+            return (A @ B) % self.p
+        out = np.zeros((A.shape[0], B.shape[1]), dtype=np.int64)
+        for i in range(0, n, step):
+            out = (out + (A[:, i:i + step] @ B[i:i + step]) % self.p) % self.p
+        return out
 
     def inv_scalar(self, x: int) -> int:
         x %= self.p
@@ -190,20 +159,6 @@ class PrimeField:
                 K[pc, j] = (-R[i, fc]) % self.p
         return K
 
-    def solve_in_span(self, B, v) -> np.ndarray | None:
-        """Coefficients x with B @ x = v, or None when v is not in span(B)."""
-        B = self.normalize(B)
-        v = np.asarray(v, dtype=np.int64).reshape(-1, 1) % self.p
-        if B.shape[0] != v.shape[0]:
-            raise ValueError("ambient dimensions differ")
-        R, pivots = self.rref(np.hstack([B, v]))
-        if pivots and pivots[-1] == B.shape[1]:
-            return None
-        x = np.zeros(B.shape[1], dtype=np.int64)
-        for i, pc in enumerate(pivots):
-            x[pc] = R[i, B.shape[1]]
-        return x
-
     def column_space_basis(self, M) -> np.ndarray:
         """The pivot columns of M (leftmost independent subset)."""
         A = self.normalize(M)
@@ -239,12 +194,15 @@ class PrimeField:
         _, piv2 = self.rref(np.hstack([W, self.identity(n)]))
         extra = [c - W.shape[1] for c in piv2 if c >= W.shape[1]]
         G = np.hstack([W, self.identity(n)[:, extra]])
-        assert G.shape == (n, n)
+        if G.shape != (n, n):
+            raise ValueError(f"basis extension has shape {G.shape}, not {(n, n)}")
         R3, piv3 = self.rref(np.hstack([G, self.identity(n)]))
-        assert piv3 == list(range(n)), "basis extension failed"
+        if piv3 != list(range(n)):
+            raise ValueError("basis extension failed")
         Ginv = R3[:, n:]
         proj = Ginv[len(b_sel):len(b_sel) + dim, :]
-        assert np.array_equal(self.matmul(proj, reps), self.identity(dim))
-        if B.shape[1]:
-            assert not self.matmul(proj, B).any()
+        if not np.array_equal(self.matmul(proj, reps), self.identity(dim)):
+            raise ValueError("projection does not invert the representatives")
+        if B.shape[1] and self.matmul(proj, B).any():
+            raise ValueError("projection does not kill span(B)")
         return QuotientMap(dim, proj, reps)

@@ -119,6 +119,8 @@ def parse_space(doc: Any) -> tuple[ConstructibleRSpace, int]:
                 "left_maps", "right_maps"):
         if key not in doc:
             raise InputError(f"missing key {key!r}")
+        if not isinstance(doc[key], list):
+            raise InputError(f"{key} must be a list")
 
     p = doc.get("characteristic", 2)
     if isinstance(p, bool) or not isinstance(p, int):
@@ -128,10 +130,7 @@ def parse_space(doc: Any) -> tuple[ConstructibleRSpace, int]:
     except ValueError as e:
         raise InputError(str(e)) from e
 
-    raw_vals = doc["critical_values"]
-    if not isinstance(raw_vals, list):
-        raise InputError("critical_values must be a list")
-    values = [parse_real(v) for v in raw_vals]
+    values = [parse_real(v) for v in doc["critical_values"]]
 
     verts = [_parse_complex(o, f"vertex_complexes[{i}]")
              for i, o in enumerate(doc["vertex_complexes"])]

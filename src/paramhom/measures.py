@@ -18,9 +18,7 @@ agreement of the two routes.
 
 from __future__ import annotations
 
-import weakref
-
-from .diagrams import BehaviorType, DecoratedDiagram, Rectangle, extract_diagram
+from .diagrams import BehaviorType, DecoratedDiagram, Rectangle
 from .rspace import ConstructibleRSpace
 from .zigzag import BACKWARD, FORWARD, ZigzagModule, decompose
 
@@ -30,10 +28,7 @@ __all__ = [
     "measure_direct",
     "measure_profile",
     "measure_via_diagram",
-    "diagram_via_measures",
     "full_bar_count",
-    "coordinate_reverse",
-    "reverse_rectangle",
 ]
 
 # Interval of the 7-node zigzag counted by each behaviour type (1-based
@@ -88,22 +83,6 @@ def measure_via_diagram(D: DecoratedDiagram, R: Rectangle) -> int:
     return D.count_in(R)
 
 
-# Extracted diagrams are memoized per space; a space's homology data is
-# immutable once built, so the cache can only go stale by the space dying.
-_extracted: "weakref.WeakKeyDictionary[ConstructibleRSpace, dict]" = \
-    weakref.WeakKeyDictionary()
-
-
-def diagram_via_measures(X: ConstructibleRSpace, k: int, t: BehaviorType
-                         ) -> DecoratedDiagram:
-    """Diagram extracted from the direct measure oracle (not via levelset)."""
-    per_space = _extracted.setdefault(X, {})
-    if (k, t) not in per_space:
-        per_space[(k, t)] = extract_diagram(
-            lambda R: measure_direct(X, k, t, R), X.critical_values, t)
-    return per_space[(k, t)]
-
-
 def full_bar_count(X: ConstructibleRSpace, k: int, b: float, c: float) -> int:
     """Multiplicity of the full bar in the 3-node zigzag X_b^b -> X_b^c <- X_c^c.
 
@@ -117,19 +96,3 @@ def full_bar_count(X: ConstructibleRSpace, k: int, b: float, c: float) -> int:
     Z = ZigzagModule(X.field, dims,
                      [(FORWARD, into_from_b), (BACKWARD, into_from_c)])
     return decompose(Z).get((1, 3), 0)
-
-
-def coordinate_reverse(X: ConstructibleRSpace) -> ConstructibleRSpace:
-    """The space parametrized by the negated value: flip everything."""
-    return ConstructibleRSpace(
-        critical_values=[-v for v in reversed(X.critical_values)],
-        vertex_complexes=list(reversed(X.vertex_complexes)),
-        edge_complexes=list(reversed(X.edge_complexes)),
-        left_maps=list(reversed(X.right_maps)),
-        right_maps=list(reversed(X.left_maps)),
-        field=X.field,
-    )
-
-
-def reverse_rectangle(R: Rectangle) -> Rectangle:
-    return Rectangle(-R.d, -R.c, -R.b, -R.a)

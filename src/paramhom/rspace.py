@@ -37,14 +37,7 @@ __all__ = [
     "ConstructibleRSpace",
     "SlicePlan",
     "SliceResult",
-    "validate",
-    "levelset_complex",
-    "slice_plan",
-    "slice_complex",
-    "sublevel_complex",
-    "superlevel_complex",
     "refine",
-    "with_critical_values",
 ]
 
 
@@ -285,42 +278,6 @@ class ConstructibleRSpace:
             mq = induced_homology_map(sl.incl_q, hq, h)
             self._homology[key] = (h, mp, mq)
         return self._homology[key]
-
-
-# -- module-level operations (thin wrappers keep the call style uniform) --------
-
-
-def validate(X: ConstructibleRSpace):
-    problems = X.validate()
-    return True if not problems else problems
-
-
-def levelset_complex(X: ConstructibleRSpace, t: float) -> SimplicialComplex:
-    return X.levelset(t)
-
-
-def slice_plan(X: ConstructibleRSpace, p: float, q: float) -> SlicePlan:
-    return X.slice_plan(p, q)
-
-
-def slice_complex(X: ConstructibleRSpace, p: float, q: float) -> SliceResult:
-    return X.slice(p, q)
-
-
-def sublevel_complex(X: ConstructibleRSpace, t: float) -> ChainComplex:
-    return X.slice(-math.inf, t).complex
-
-
-def superlevel_complex(X: ConstructibleRSpace, t: float) -> ChainComplex:
-    return X.slice(t, math.inf).complex
-
-
-def with_critical_values(X: ConstructibleRSpace, values: Sequence[float]) -> ConstructibleRSpace:
-    """Same combinatorial model over a new (strictly increasing) value list."""
-    if len(values) != X.n_critical:
-        raise ValueError("value count must match the critical value count")
-    return ConstructibleRSpace(values, X.vertex_complexes, X.edge_complexes,
-                               X.left_maps, X.right_maps, X.field)
 
 
 def refine(X: ConstructibleRSpace, cuts: Sequence[float]) -> ConstructibleRSpace:

@@ -3,7 +3,8 @@
 Every builder returns a ConstructibleRSpace.  The expected homology and
 diagrams quoted in the tests were worked out by hand from these models (the
 derivations are sketched next to each builder); nothing here is computed by
-the code under test.
+the code under test.  The helpers at the end re-parametrize a space, flip
+its coordinate, and count the Euler characteristic of a chain complex.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from __future__ import annotations
 import math
 import random
 
-from paramhom.complexes import SimplicialComplex
+from paramhom.complexes import ChainComplex, SimplicialComplex
 from paramhom.diagrams import Rectangle
 from paramhom.fieldlin import PrimeField
 from paramhom.rspace import ConstructibleRSpace
@@ -272,3 +273,31 @@ def corpus(field=F2) -> dict[str, ConstructibleRSpace]:
     for i in range(3):
         spaces[f"random_{i}"] = random_space(rng, field)
     return spaces
+
+
+def with_critical_values(X: ConstructibleRSpace, values) -> ConstructibleRSpace:
+    """Same combinatorial model over a new (strictly increasing) value list."""
+    if len(values) != X.n_critical:
+        raise ValueError("value count must match the critical value count")
+    return ConstructibleRSpace(values, X.vertex_complexes, X.edge_complexes,
+                               X.left_maps, X.right_maps, X.field)
+
+
+def coordinate_reverse(X: ConstructibleRSpace) -> ConstructibleRSpace:
+    """The space parametrized by the negated value: flip everything."""
+    return ConstructibleRSpace(
+        critical_values=[-v for v in reversed(X.critical_values)],
+        vertex_complexes=list(reversed(X.vertex_complexes)),
+        edge_complexes=list(reversed(X.edge_complexes)),
+        left_maps=list(reversed(X.right_maps)),
+        right_maps=list(reversed(X.left_maps)),
+        field=X.field,
+    )
+
+
+def reverse_rectangle(R: Rectangle) -> Rectangle:
+    return Rectangle(-R.d, -R.c, -R.b, -R.a)
+
+
+def euler_characteristic(C: ChainComplex) -> int:
+    return sum((-1) ** k * C.dim(k) for k in C.degrees())

@@ -1,4 +1,4 @@
-"""Independent oracles for the zigzag decomposition tests.
+"""Independent oracles for the decomposition, extraction and matching tests.
 
 brute_decompose enumerates every nonnegative interval assignment consistent
 with the node dimensions and keeps those matching the full generalized-rank
@@ -6,15 +6,20 @@ table computed by the literal limit->colimit construction; the solution is
 unique by inclusion-exclusion.  planted_zigzag builds a module whose
 decomposition is known ahead of time and hides it behind random basis
 changes.  Neither goes anywhere near the code path used by decompose().
+extract_diagram reads a diagram off any rectangle measure by probing, so
+the measure route can be compared with the levelset zigzag route.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from collections import Counter
+from typing import Callable, Sequence
 
 import numpy as np
 
+from paramhom.diagrams import BehaviorType, DecoratedDiagram, DecoratedPoint, Rectangle
 from paramhom.fieldlin import PrimeField
 from paramhom.zigzag import ZigzagModule, limit_colimit_rank
 
@@ -131,8 +136,6 @@ def brute_bottleneck(a_pts, b_pts) -> float:
     Uses the same ground metric as the implementation but replaces the
     matching search with full enumeration.
     """
-    import math
-
     from paramhom.bottleneck import diagonal_distance, dinf
 
     a_pts, b_pts = list(a_pts), list(b_pts)
@@ -156,3 +159,91 @@ def brute_bottleneck(a_pts, b_pts) -> float:
 
     rec(0, frozenset(), 0.0)
     return best
+
+
+class MeasureNotAdditiveError(Exception):
+    """A rectangle measure failed an additivity split-check."""
+
+
+def _split_points(lo: float, hi: float) -> float:
+    if lo == -math.inf:
+        return hi - 1.0
+    if hi == math.inf:
+        return lo + 1.0
+    return (lo + hi) / 2.0
+
+
+def _checked(measure: Callable[[Rectangle], int], R: Rectangle) -> int:
+    """Evaluate the measure and verify additivity under one vertical and one
+    horizontal split of R."""
+    v = measure(R)
+    x = _split_points(R.a, R.b)
+    if R.a < x < R.b:
+        left = measure(Rectangle(R.a, x, R.c, R.d))
+        right = measure(Rectangle(x, R.b, R.c, R.d))
+        if left + right != v:
+            raise MeasureNotAdditiveError(
+                f"vertical split of {R!r} at {x}: {left} + {right} != {v}")
+    y = _split_points(R.c, R.d)
+    if R.c < y < R.d:
+        low = measure(Rectangle(R.a, R.b, R.c, y))
+        high = measure(Rectangle(R.a, R.b, y, R.d))
+        if low + high != v:
+            raise MeasureNotAdditiveError(
+                f"horizontal split of {R!r} at {y}: {low} + {high} != {v}")
+    return v
+
+
+def extract_diagram(measure: Callable[[Rectangle], int],
+                    critical_values: Sequence[float],
+                    btype: BehaviorType) -> DecoratedDiagram:
+    """Read a decorated diagram off a rectangle measure.
+
+    Feature endpoints of a constructible space sit at critical values (or at
+    infinity for open ends), so the content of the measure is recovered by
+    probing one small rectangle per candidate endpoint pair.  The probe
+    half-width is a quarter of the minimal critical gap: small enough that a
+    probe touches no other critical value and stays below the diagonal even
+    for adjacent candidates.  Every probe is additivity-checked by splitting
+    it once in each direction.
+
+    Raises:
+        MeasureNotAdditiveError: if a split-check fails.
+    """
+    vals = sorted(set(float(v) for v in critical_values))
+    if not vals:
+        return DecoratedDiagram()
+    gaps = [b - a for a, b in zip(vals, vals[1:])]
+    eps = min(gaps) / 4.0 if gaps else 1.0
+    pdec, qdec = btype.decorations
+
+    p_candidates: list[float] = list(vals)
+    if not btype.left_closed:
+        p_candidates = [-math.inf] + p_candidates
+    q_candidates: list[float] = list(vals)
+    if not btype.right_closed:
+        q_candidates = q_candidates + [math.inf]
+
+    diagram = DecoratedDiagram()
+    for pc in p_candidates:
+        for qc in q_candidates:
+            if not pc < qc:
+                continue
+            if pc == -math.inf:
+                pa, pb = -math.inf, vals[0] - eps
+            elif btype.left_closed:
+                pa, pb = pc - eps, pc
+            else:
+                pa, pb = pc, pc + eps
+            if qc == math.inf:
+                qa, qb = vals[-1] + eps, math.inf
+            elif btype.right_closed:
+                qa, qb = qc, qc + eps
+            else:
+                qa, qb = qc - eps, qc
+            if not pb < qa:
+                continue  # no feature can have this endpoint pair
+            m = _checked(measure, Rectangle(pa, pb, qa, qb))
+            if m:
+                diagram.add(DecoratedPoint(pc, pdec, qc, qdec), m)
+    return diagram

@@ -18,12 +18,13 @@ from paramhom.diagrams import BehaviorType, DecoratedPoint, Rectangle, undecorat
 from paramhom.extended import ExtendedType, extended_diagrams, extended_profile
 from paramhom.fieldlin import PrimeField
 from paramhom.levelset import all_diagrams
-from paramhom.measures import diagram_via_measures, full_bar_count, measure_profile
-from paramhom.rspace import ConstructibleRSpace, with_critical_values
+from paramhom.measures import full_bar_count, measure_direct, measure_profile
+from paramhom.rspace import ConstructibleRSpace
 from paramhom.zigzag import coarsen, decompose
 
 import corpus
 import oracles
+from corpus import with_critical_values
 
 OO = BehaviorType.OPEN_OPEN
 CO = BehaviorType.CLOSED_OPEN
@@ -217,7 +218,9 @@ def test_criterion_11_decoration_typing():
     for X in (corpus.circle(), corpus.w_shape(), corpus.two_component()):
         for k in degrees(X):
             for t in BehaviorType:
-                for pt, m in diagram_via_measures(X, k, t).points():
+                D = oracles.extract_diagram(lambda R: measure_direct(X, k, t, R),
+                                            X.critical_values, t)
+                for pt, m in D.points():
                     assert (pt.pdec, pt.qdec) == t.decorations, (k, t, pt)
         for k, by_type in extended_diagrams(X).items():
             for et, D in by_type.items():

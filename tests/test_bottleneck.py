@@ -12,9 +12,9 @@ from paramhom.bottleneck import (
     stability_report,
 )
 from paramhom.diagrams import BehaviorType
-from paramhom.rspace import with_critical_values
 
 import corpus
+from corpus import with_critical_values
 from oracles import brute_bottleneck
 
 INF = math.inf

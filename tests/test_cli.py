@@ -74,6 +74,13 @@ class TestDiagram:
         assert main(["diagram", write_doc(tmp_path, "bad.json", doc)]) == 2
         assert "increasing" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key", ["vertex_complexes", "edge_complexes",
+                                     "left_maps", "right_maps"])
+    def test_non_list_field_exit_2(self, tmp_path, capsys, key):
+        doc = dict(CIRCLE, **{key: 5})
+        assert main(["diagram", write_doc(tmp_path, "bad.json", doc)]) == 2
+        assert f"{key} must be a list" in capsys.readouterr().err
+
     def test_unreadable_file_exit_2(self, tmp_path, capsys):
         assert main(["diagram", str(tmp_path / "missing.json")]) == 2
         assert "error" in capsys.readouterr().err

@@ -9,12 +9,12 @@ from paramhom.diagrams import (
     DecoratedDiagram,
     DecoratedPoint,
     Decoration,
-    MeasureNotAdditiveError,
     Rectangle,
     contains,
-    extract_diagram,
     undecorate,
 )
+
+from oracles import MeasureNotAdditiveError, extract_diagram
 
 OO = BehaviorType.OPEN_OPEN
 CO = BehaviorType.CLOSED_OPEN

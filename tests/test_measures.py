@@ -6,17 +6,16 @@ import pytest
 from paramhom.diagrams import BehaviorType, DecoratedDiagram, DecoratedPoint, Rectangle
 from paramhom.levelset import all_diagrams
 from paramhom.measures import (
-    coordinate_reverse,
-    diagram_via_measures,
     full_bar_count,
     measure_direct,
     measure_profile,
     measure_via_diagram,
     rectangle_module,
-    reverse_rectangle,
 )
 
 import corpus
+from corpus import coordinate_reverse, reverse_rectangle
+from oracles import extract_diagram
 
 OO = BehaviorType.OPEN_OPEN
 CO = BehaviorType.CLOSED_OPEN
@@ -27,6 +26,10 @@ CC = BehaviorType.CLOSED_CLOSED
 def bar(p, q, btype):
     pdec, qdec = btype.decorations
     return DecoratedPoint(p, pdec, q, qdec)
+
+
+def measured_diagram(X, k, t):
+    return extract_diagram(lambda R: measure_direct(X, k, t, R), X.critical_values, t)
 
 
 class TestRectangleModule:
@@ -100,20 +103,20 @@ class TestGoldenMeasures:
 class TestExtractedDiagrams:
     def test_circle(self):
         X = corpus.circle()
-        assert diagram_via_measures(X, 0, CC) == DecoratedDiagram({bar(0.0, 1.0, CC): 1})
-        assert diagram_via_measures(X, 0, OO) == DecoratedDiagram({bar(0.0, 1.0, OO): 1})
+        assert measured_diagram(X, 0, CC) == DecoratedDiagram({bar(0.0, 1.0, CC): 1})
+        assert measured_diagram(X, 0, OO) == DecoratedDiagram({bar(0.0, 1.0, OO): 1})
 
     def test_two_component(self):
         X = corpus.two_component()
         want = DecoratedDiagram({bar(0.0, 3.0, CC): 1, bar(1.0, 2.0, CC): 1})
-        assert diagram_via_measures(X, 0, CC) == want
+        assert measured_diagram(X, 0, CC) == want
 
     def test_pipelines_agree_on_corpus(self):
         for name, X in corpus.corpus().items():
             for k in range(X.max_piece_dimension() + 1):
                 translated = all_diagrams(X, k)
                 for t in BehaviorType:
-                    extracted = diagram_via_measures(X, k, t)
+                    extracted = measured_diagram(X, k, t)
                     assert extracted == translated[t].off_diagonal(), (name, k, t)
 
 

@@ -7,19 +7,10 @@ import pytest
 
 from paramhom.complexes import SimplicialComplex, homology
 from paramhom.fieldlin import PrimeField
-from paramhom.rspace import (
-    ConstructibleRSpace,
-    levelset_complex,
-    refine,
-    slice_complex,
-    slice_plan,
-    sublevel_complex,
-    superlevel_complex,
-    validate,
-    with_critical_values,
-)
+from paramhom.rspace import ConstructibleRSpace, refine
 
 import corpus
+from corpus import with_critical_values
 
 F2, F3 = PrimeField(2), PrimeField(3)
 INF = math.inf
@@ -43,7 +34,7 @@ GLOBAL_HOMOLOGY = {
 
 
 def slice_ranks(X, p, q, top=3):
-    C = slice_complex(X, p, q).complex
+    C = X.slice(p, q).complex
     return tuple(homology(C, k).rank for k in range(top))
 
 
@@ -55,7 +46,7 @@ def test_full_slice_recovers_global_homology(name):
 
 def test_validate_accepts_corpus_and_flags_breakage():
     for name, X in corpus.corpus().items():
-        assert validate(X) is True, (name, X.validate())
+        assert X.validate() == [], name
     bad = ConstructibleRSpace(
         (0.0, 1.0),
         [SimplicialComplex([("a",)]), SimplicialComplex([("b",)])],
@@ -63,8 +54,7 @@ def test_validate_accepts_corpus_and_flags_breakage():
         [{"x": "a"}],  # y unmapped
         [{"x": "b", "y": "nope"}],  # image vertex missing
         F2)
-    problems = validate(bad)
-    assert problems is not True and len(problems) >= 2
+    assert len(bad.validate()) >= 2
 
 
 def test_constructor_faults():
@@ -79,11 +69,11 @@ def test_constructor_faults():
 
 def test_levelset_piece_selection():
     X = corpus.circle()
-    assert levelset_complex(X, -0.5).n_simplices() == 0
-    assert levelset_complex(X, 0.0).vertices == ["b"]
-    assert levelset_complex(X, 0.5).vertices == ["x", "y"]
-    assert levelset_complex(X, 1.0).vertices == ["t"]
-    assert levelset_complex(X, 7.0).n_simplices() == 0
+    assert X.levelset(-0.5).n_simplices() == 0
+    assert X.levelset(0.0).vertices == ["b"]
+    assert X.levelset(0.5).vertices == ["x", "y"]
+    assert X.levelset(1.0).vertices == ["t"]
+    assert X.levelset(7.0).n_simplices() == 0
 
 
 def test_point_slices_match_levelsets():
@@ -91,8 +81,8 @@ def test_point_slices_match_levelsets():
 
     X = corpus.vertical_torus()
     for t in (-1.0, 0.0, 0.3, 1.0, 1.7, 2.0, 2.5, 3.0, 99.0):
-        sl = slice_complex(X, t, t)
-        fiber_chain = chain_complex(levelset_complex(X, t), X.field)
+        sl = X.slice(t, t)
+        fiber_chain = chain_complex(X.levelset(t), X.field)
         for k in (0, 1):
             assert homology(sl.complex, k).rank == homology(fiber_chain, k).rank
         assert sl.complex.dim(0) == fiber_chain.dim(0)
@@ -100,14 +90,14 @@ def test_point_slices_match_levelsets():
 
 def test_slice_plans():
     X = corpus.circle()
-    assert slice_plan(X, 0.2, 0.8).nodes == (("E", 0),)
-    assert slice_plan(X, 0.0, 0.8).nodes == (("V", 0), ("E", 0))
-    assert slice_plan(X, -2.0, 0.8).nodes == (("V", 0), ("E", 0))
-    assert slice_plan(X, -2.0, -1.0).nodes == ()
-    assert slice_plan(X, 2.0, 3.0).nodes == ()
-    assert slice_plan(X, -INF, INF).nodes == (("V", 0), ("V", 1))
+    assert X.slice_plan(0.2, 0.8).nodes == (("E", 0),)
+    assert X.slice_plan(0.0, 0.8).nodes == (("V", 0), ("E", 0))
+    assert X.slice_plan(-2.0, 0.8).nodes == (("V", 0), ("E", 0))
+    assert X.slice_plan(-2.0, -1.0).nodes == ()
+    assert X.slice_plan(2.0, 3.0).nodes == ()
+    assert X.slice_plan(-INF, INF).nodes == (("V", 0), ("V", 1))
     with pytest.raises(ValueError):
-        slice_plan(X, 1.0, 0.0)
+        X.slice_plan(1.0, 0.0)
 
 
 def test_circle_slices():
@@ -140,18 +130,18 @@ def test_fiber_inclusion_maps():
 
 def test_sublevel_superlevel():
     X = corpus.circle()
-    assert homology(sublevel_complex(X, 0.5), 0).rank == 1
-    assert homology(sublevel_complex(X, 0.5), 1).rank == 0
-    assert homology(sublevel_complex(X, 1.0), 1).rank == 1
-    assert homology(superlevel_complex(X, 0.5), 0).rank == 1
-    assert homology(superlevel_complex(X, -9.0), 1).rank == 1
+    assert homology(X.slice(-INF, 0.5).complex, 0).rank == 1
+    assert homology(X.slice(-INF, 0.5).complex, 1).rank == 0
+    assert homology(X.slice(-INF, 1.0).complex, 1).rank == 1
+    assert homology(X.slice(0.5, INF).complex, 0).rank == 1
+    assert homology(X.slice(-9.0, INF).complex, 1).rank == 1
 
 
 def test_regular_interval_invariance():
     # slices with the same plan share homology (and are cached together)
     X = corpus.w_shape()
-    a = slice_plan(X, 0.05, 0.45)
-    b = slice_plan(X, 0.1, 0.55)
+    a = X.slice_plan(0.05, 0.45)
+    b = X.slice_plan(0.1, 0.55)
     assert a == b
     assert slice_ranks(X, 0.05, 0.45) == slice_ranks(X, 0.1, 0.55)
 
@@ -163,7 +153,7 @@ def test_refine_preserves_slice_homology():
         cuts = [(vals[0] + vals[1]) / 2, vals[0] - 1.0, vals[-1] + 1.0]
         Y = refine(X, cuts)
         assert Y.n_critical == X.n_critical + 1
-        assert validate(Y) is True
+        assert Y.validate() == []
         for (p, q) in [(-INF, INF), (vals[0], vals[-1]), (cuts[0], vals[-1])]:
             assert slice_ranks(X, p, q) == slice_ranks(Y, p, q)
     # no-op refinement returns the same object
@@ -186,6 +176,6 @@ def test_random_spaces_are_valid():
     rng = random.Random(7)
     for _ in range(25):
         X = corpus.random_space(rng)
-        assert validate(X) is True
+        assert X.validate() == []
         # full slice must build and have consistent chain data
-        slice_complex(X, -INF, INF)
+        X.slice(-INF, INF)
