@@ -83,22 +83,35 @@ def _feasible(a_pts: list[Point], b_pts: list[Point], delta: float) -> bool:
             row.append(j)
         adj.append(row)
 
-    match_right = [-1] * size
+    match_right, match_left = [-1] * size, [-1] * size
 
-    def augment(u: int, seen: list[bool]) -> bool:
-        for v in adj[u]:
-            if not seen[v]:
-                seen[v] = True
-                if match_right[v] == -1 or augment(match_right[v], seen):
-                    match_right[v] = u
-                    return True
+    def augment(root: int) -> bool:
+        # breadth-first search for an augmenting path, with no recursion;
+        # reached[v] is the left vertex that reached right vertex v
+        reached = [-1] * size
+        queue = [root]
+        for u in queue:
+            for v in adj[u]:
+                if reached[v] == -1:
+                    reached[v] = u
+                    if match_right[v] == -1:
+                        while v != -1:  # flip the path back to the root
+                            u = reached[v]
+                            match_right[v], match_left[u], v = u, v, match_left[u]
+                        return True
+                    queue.append(match_right[v])
         return False
 
-    matched = 0
+    # greedy pass first; a vertex with no augmenting path never gains one as
+    # the matching grows, so the first failure decides
+    unmatched = []
     for u in range(size):
-        if augment(u, [False] * size):
-            matched += 1
-    return matched == size
+        v = next((v for v in adj[u] if match_right[v] == -1), -1)
+        if v == -1:
+            unmatched.append(u)
+        else:
+            match_right[v], match_left[u] = u, v
+    return all(augment(u) for u in unmatched)
 
 
 def bottleneck_distance(A, B) -> float:

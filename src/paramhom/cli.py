@@ -67,7 +67,9 @@ def _write(text: str, out: str | None) -> None:
 
 def cmd_diagram(args) -> int:
     X, max_dim = load_space(args.input)
-    dims = [_check_dim(args.dim)] if args.dim is not None else list(range(max_dim + 1))
+    # no piece has cells above its top dimension, so neither have diagrams
+    top = min(max_dim, X.max_piece_dimension())
+    dims = [_check_dim(args.dim)] if args.dim is not None else list(range(top + 1))
     compute = cohomology_diagrams if args.cohomology else all_diagrams
     by_dim = {k: compute(X, k) for k in dims}
     _write(dump_diagram(diagram_entries(by_dim)), args.out)

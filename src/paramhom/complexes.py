@@ -21,11 +21,11 @@ __all__ = [
     "ChainComplex",
     "ChainMap",
     "HomologyBasis",
-    "TelescopeResult",
     "chain_complex",
     "induced_chain_map",
     "homology",
     "induced_homology_map",
+    "coordinate_homology_map",
     "telescope",
     "subcomplex",
     "quotient_complex",
@@ -130,7 +130,7 @@ class ChainMap:
     """Degreewise matrices commuting with the boundaries (checked)."""
 
     def __init__(self, src: ChainComplex, tgt: ChainComplex,
-                 matrices: dict[int, np.ndarray], check: bool = True):
+                 matrices: dict[int, np.ndarray]):
         if src.field != tgt.field:
             raise ValueError("chain map between different fields")
         self.src = src
@@ -143,12 +143,11 @@ class ChainMap:
                 raise ValueError(f"chain map matrix {k} has shape {M.shape}")
             if M.size:
                 self.matrices[k] = M
-        if check:
-            for k in set(src.degrees()) | set(tgt.degrees()):
-                lhs = self.field.matmul(tgt.boundary(k), self.matrix(k))
-                rhs = self.field.matmul(self.matrix(k - 1), src.boundary(k))
-                if not np.array_equal(lhs, rhs):
-                    raise ValueError(f"chain map fails to commute at degree {k}")
+        for k in set(src.degrees()) | set(tgt.degrees()):
+            lhs = self.field.matmul(tgt.boundary(k), self.matrix(k))
+            rhs = self.field.matmul(self.matrix(k - 1), src.boundary(k))
+            if not np.array_equal(lhs, rhs):
+                raise ValueError(f"chain map fails to commute at degree {k}")
 
     def matrix(self, k: int) -> np.ndarray:
         M = self.matrices.get(k)
@@ -158,8 +157,7 @@ class ChainMap:
 
     @staticmethod
     def identity(C: ChainComplex) -> "ChainMap":
-        return ChainMap(C, C, {k: C.field.identity(C.dim(k)) for k in C.degrees()},
-                        check=False)
+        return ChainMap(C, C, {k: C.field.identity(C.dim(k)) for k in C.degrees()})
 
 
 def chain_complex(S: SimplicialComplex, field: PrimeField) -> ChainComplex:
@@ -252,51 +250,59 @@ class HomologyBasis:
 
 def homology(C: ChainComplex, k: int) -> HomologyBasis:
     """H_k(C) = ker d_k / im d_{k+1}, presented with explicit cycle reps."""
-    field = C.field
-    Z = field.kernel_basis(C.boundary(k))
-    B = field.column_space_basis(C.boundary(k + 1))
-    q = field.quotient_map(Z, B)
-    # rebase projection/representatives to chain coordinates
+    q = C.field.quotient_map(C.field.kernel_basis(C.boundary(k)), C.boundary(k + 1))
     return HomologyBasis(C, k, q.representatives, q.projection)
 
 
 def induced_homology_map(f: ChainMap, src_h: HomologyBasis,
                          tgt_h: HomologyBasis) -> np.ndarray:
     """Matrix of H_k(f) with respect to the two given bases."""
-    assert src_h.k == tgt_h.k
+    if src_h.k != tgt_h.k:
+        raise ValueError(f"homology degrees differ: {src_h.k} and {tgt_h.k}")
     field = f.field
     pushed = field.matmul(f.matrix(src_h.k), src_h.representatives)
     return field.matmul(tgt_h.projection, pushed)
 
 
-class TelescopeResult:
-    """Total complex of a zigzag of spaces, with the inclusions of its nodes.
+def coordinate_homology_map(src_h: HomologyBasis, tgt_h: HomologyBasis,
+                            columns: Sequence[int]) -> np.ndarray:
+    """Matrix of H_k of a coordinate chain map, with respect to the two bases.
 
-    Labels are ("v", t, lbl) for generators of node t and ("e", t, lbl) for
-    the degree-shifted generators of edge t, so block membership is
-    recoverable from the labels alone.
+    The chain map sends basis column j of the source to basis column
+    columns[j] of the target, or to 0 where columns[j] is -1.
     """
-
-    def __init__(self, complex: ChainComplex, node_inclusions: list[ChainMap]):
-        self.complex = complex
-        self.node_inclusions = node_inclusions
+    if src_h.k != tgt_h.k:
+        raise ValueError(f"homology degrees differ: {src_h.k} and {tgt_h.k}")
+    cols = np.asarray(columns, dtype=np.int64)
+    if len(cols) != src_h.complex.dim(src_h.k):
+        raise ValueError(f"{len(cols)} columns for a source of dimension "
+                         f"{src_h.complex.dim(src_h.k)}")
+    kept = cols >= 0
+    return src_h.complex.field.matmul(tgt_h.projection[:, cols[kept]],
+                                      src_h.representatives[kept])
 
 
 def telescope(nodes: Sequence[ChainComplex],
-              edges: Sequence[tuple[ChainComplex, ChainMap, ChainMap]]) -> TelescopeResult:
+              edges: Sequence[tuple[ChainComplex, ChainMap, ChainMap]]) -> ChainComplex:
     """Mapping telescope of V_0 <- E_0 -> V_1 <- E_1 -> ... -> V_n.
 
     Each edge is (E, l, r) with chain maps l: E -> V_t and r: E -> V_{t+1}.
     Edge generators enter with degree shifted up by one; the differential of
     a shifted generator e is (r(e) - l(e)) - shift(de), which squares to zero
     because r - l is a chain map.
+
+    Labels are ("v", t, lbl) for generators of node t and ("e", t, lbl) for
+    the shifted generators of edge t.  In each degree the node blocks come
+    first, in node order, so node t includes as the coordinate columns after
+    the dimensions of nodes 0..t-1.
     """
     if not nodes:
         raise ValueError("telescope needs at least one node")
-    assert len(edges) == len(nodes) - 1
+    if len(edges) != len(nodes) - 1:
+        raise ValueError(f"{len(nodes)} nodes need {len(nodes) - 1} edges, got {len(edges)}")
     field = nodes[0].field
-    for E, l, r in edges:
-        assert E.field == field
+    if any(V.field != field for V in nodes) or any(E.field != field for E, _, _ in edges):
+        raise ValueError("telescope pieces over different fields")
     degs = set()
     for V in nodes:
         degs.update(V.degrees())
@@ -346,88 +352,51 @@ def telescope(nodes: Sequence[ChainComplex],
             col += E.dim(ek)
         boundaries[k] = M
 
-    total = ChainComplex(field, labels, boundaries)
-
-    node_inclusions = []
-    for t, V in enumerate(nodes):
-        mats = {}
-        for k in V.degrees():
-            M = field.zeros(total.dim(k), V.dim(k))
-            off = node_offset(k, t)
-            M[off:off + V.dim(k), :] = field.identity(V.dim(k))
-            mats[k] = M
-        node_inclusions.append(ChainMap(V, total, mats, check=False))
-    return TelescopeResult(total, node_inclusions)
+    return ChainComplex(field, labels, boundaries)
 
 
-def subcomplex(C: ChainComplex, columns: dict[int, Sequence[int]]) -> tuple[ChainComplex, ChainMap]:
+def _closed_columns(C: ChainComplex, columns: Mapping[int, Sequence[int]]
+                    ) -> dict[int, list[int]]:
+    """Sorted chosen columns per degree, checked to be closed under d."""
+    cols = {k: sorted(set(columns.get(k, ()))) for k in C.degrees()}
+    for k in C.degrees():
+        keep = np.zeros(C.dim(k - 1), dtype=bool)
+        keep[cols.get(k - 1, [])] = True
+        if C.boundary(k)[:, cols[k]][~keep].any():
+            raise ValueError(f"columns are not closed under the boundary at degree {k}")
+    return cols
+
+
+def _coordinate_complex(C: ChainComplex, cols: dict[int, list[int]]) -> ChainComplex:
+    labels = {k: [C.labels[k][i] for i in cols[k]] for k in C.degrees()}
+    boundaries = {k: C.boundary(k)[np.ix_(cols.get(k - 1, []), cols[k])]
+                  for k in C.degrees()}
+    return ChainComplex(C.field, labels, boundaries)
+
+
+def subcomplex(C: ChainComplex, columns: Mapping[int, Sequence[int]]
+               ) -> tuple[ChainComplex, dict[int, list[int]]]:
     """Span of a set of basis columns, which must be closed under d.
 
-    Returns the subcomplex (with the inherited labels) and its inclusion.
+    Returns the subcomplex (with the inherited labels) and, per degree, the
+    sorted columns of C it keeps: its inclusion sends basis column j of
+    degree k to column kept[k][j] of C.
 
     Raises:
         ValueError: if the boundary of a chosen column leaves the chosen rows.
     """
-    field = C.field
-    cols = {k: sorted(columns.get(k, [])) for k in C.degrees()}
-    labels = {k: [C.labels[k][i] for i in cols[k]] for k in C.degrees() if cols[k]}
-    boundaries = {}
-    for k in C.degrees():
-        if not cols[k]:
-            continue
-        d = C.boundary(k)[:, cols[k]]
-        keep = np.zeros(C.dim(k - 1), dtype=bool)
-        keep[cols.get(k - 1, [])] = True
-        if d[~keep, :].any():
-            raise ValueError(f"columns are not closed under the boundary at degree {k}")
-        boundaries[k] = d[keep, :]
-    sub = ChainComplex(field, labels, boundaries)
-    mats = {}
-    for k in sub.degrees():
-        M = field.zeros(C.dim(k), sub.dim(k))
-        for j, i in enumerate(cols[k]):
-            M[i, j] = 1
-        mats[k] = M
-    return sub, ChainMap(sub, C, mats, check=False)
+    cols = _closed_columns(C, columns)
+    return _coordinate_complex(C, cols), cols
 
 
-def quotient_complex(C: ChainComplex, columns: dict[int, Sequence[int]]
-                     ) -> tuple[ChainComplex, dict[int, np.ndarray], dict[int, np.ndarray]]:
+def quotient_complex(C: ChainComplex, columns: Mapping[int, Sequence[int]]
+                     ) -> tuple[ChainComplex, dict[int, list[int]]]:
     """Quotient of C by the span of basis columns (closed under d).
 
-    Returns (Q, projections, sections): projections[k] maps chain coordinates
-    of C_k onto Q_k killing the chosen columns; sections[k] embeds Q_k back
-    as the complementary coordinate columns.
+    Returns the quotient and, per degree, the sorted columns of C it keeps:
+    the projection sends column kept[k][j] of C to basis column j of degree
+    k and kills the chosen columns.
     """
-    field = C.field
-    cols = {k: sorted(set(columns.get(k, ()))) for k in C.degrees()}
-    # validate closure so the quotient differential is well defined
-    for k in C.degrees():
-        if not cols[k]:
-            continue
-        d = C.boundary(k)[:, cols[k]]
-        keep = np.zeros(C.dim(k - 1), dtype=bool)
-        keep[cols.get(k - 1, [])] = True
-        if d[~keep, :].any():
-            raise ValueError(f"columns are not closed under the boundary at degree {k}")
-    labels, projs, secs = {}, {}, {}
-    for k in C.degrees():
-        chosen = set(cols[k])
-        rest = [i for i in range(C.dim(k)) if i not in chosen]
-        if rest:
-            labels[k] = [C.labels[k][i] for i in rest]
-        P = field.zeros(len(rest), C.dim(k))
-        S = field.zeros(C.dim(k), len(rest))
-        for j, i in enumerate(rest):
-            P[j, i] = 1
-            S[i, j] = 1
-        projs[k], secs[k] = P, S
-    boundaries = {}
-    for k in C.degrees():
-        if labels.get(k) and (k - 1) in C.labels:
-            boundaries[k] = field.matmul(projs[k - 1],
-                                         field.matmul(C.boundary(k), secs[k]))
-        elif labels.get(k):
-            boundaries[k] = field.zeros(0, len(labels[k]))
-    Q = ChainComplex(field, labels, boundaries)
-    return Q, projs, secs
+    chosen = _closed_columns(C, columns)
+    rest = {k: sorted(set(range(C.dim(k))) - set(chosen[k])) for k in C.degrees()}
+    return _coordinate_complex(C, rest), rest

@@ -16,8 +16,10 @@ relative homology; `extended_from_parametrized` applies that dictionary to
 whole diagrams.
 
 Sublevel and relative complexes are all carved out of one telescope of the
-whole space, so the eight chain maps are coordinate inclusions, coordinate
-projections, and composites of the two.
+whole space, so the seven chain maps are coordinate inclusions, coordinate
+projections, and composites of the two: each sends a kept column of the
+telescope to the same column in its target, or to 0 where the target
+quotients it away.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ import math
 from enum import Enum
 from typing import Mapping
 
-from .complexes import (ChainComplex, ChainMap, homology, induced_homology_map,
+from .complexes import (ChainComplex, coordinate_homology_map, homology,
                         quotient_complex, subcomplex, telescope)
 from .diagrams import BehaviorType, DecoratedDiagram, Rectangle
 from .rspace import ConstructibleRSpace, refine
@@ -78,7 +80,7 @@ def _whole_telescope(X: ConstructibleRSpace) -> ChainComplex:
     nodes = [X.piece_chain(("V", i)) for i in range(X.n_critical)]
     edges = [(X.piece_chain(("E", i)), *X.edge_chain_maps(i))
              for i in range(X.n_critical - 1)]
-    return telescope(nodes, edges).complex
+    return telescope(nodes, edges)
 
 
 def _sublevel_columns(X: ConstructibleRSpace, full: ChainComplex,
@@ -106,52 +108,24 @@ def _superlevel_columns(X: ConstructibleRSpace, full: ChainComplex,
     return cols
 
 
-def _nested_inclusion(field, small: ChainComplex, small_cols: dict[int, list[int]],
-                      big: ChainComplex, big_cols: dict[int, list[int]]) -> ChainMap:
-    """Chain map between two column subcomplexes of the same ambient complex."""
-    mats = {}
-    for k in small.degrees():
-        pos = {c: r for r, c in enumerate(sorted(big_cols.get(k, [])))}
-        M = field.zeros(big.dim(k), small.dim(k))
-        for j, c in enumerate(sorted(small_cols[k])):
-            M[pos[c], j] = 1
-        mats[k] = M
-    return ChainMap(small, big, mats, check=True)
-
-
 def extended_module(X: ConstructibleRSpace, k: int, R: Rectangle) -> ZigzagModule:
     """Degree-k homology of the eight-node filtration selected by R."""
     corners = (R.a, R.b, R.c, R.d)
     X = refine(X, [v for v in corners if math.isfinite(v)])
-    field = X.field
     full = _whole_telescope(X)
-
-    sub_cols = [_sublevel_columns(X, full, t) for t in corners]
-    subs = [subcomplex(full, cols) for cols in sub_cols]
-    quots = [quotient_complex(full, _superlevel_columns(X, full, t))
-             for t in reversed(corners)]
-
-    maps: list[ChainMap] = []
-    for (small, _), small_cols, (big, _), big_cols in zip(
-            subs, sub_cols, subs[1:], sub_cols[1:]):
-        maps.append(_nested_inclusion(field, small, small_cols, big, big_cols))
-    sub_d, incl_d = subs[-1]
-    Q_d, projs_d, _ = quots[0]
-    maps.append(ChainMap(sub_d, Q_d, {
-        k_: field.matmul(projs_d[k_], incl_d.matrix(k_)) for k_ in sub_d.degrees()
-    }, check=True))
-    for (Q, _, secs), (Q_next, projs_next, _) in zip(quots, quots[1:]):
-        maps.append(ChainMap(Q, Q_next, {
-            k_: field.matmul(projs_next[k_], secs[k_]) for k_ in Q.degrees()
-        }, check=True))
-
-    bases = [homology(C, k) for C, *_ in subs + quots]
-    dims = [h.rank for h in bases]
-    arrows = [(FORWARD, induced_homology_map(f, bases[i], bases[i + 1]))
-              for i, f in enumerate(maps)]
+    # each piece with the telescope columns it keeps, in filtration order
+    pieces = ([subcomplex(full, _sublevel_columns(X, full, t)) for t in corners]
+              + [quotient_complex(full, _superlevel_columns(X, full, t))
+                 for t in reversed(corners)])
+    bases = [homology(C, k) for C, _ in pieces]
+    arrows = []
+    for (_, src), (_, tgt), h_src, h_tgt in zip(pieces, pieces[1:], bases, bases[1:]):
+        position = {c: j for j, c in enumerate(tgt.get(k, []))}
+        columns = [position.get(c, -1) for c in src.get(k, [])]
+        arrows.append((FORWARD, coordinate_homology_map(h_src, h_tgt, columns)))
     annotations = tuple([("sub", t) for t in corners]
                         + [("rel", t) for t in reversed(corners)])
-    return ZigzagModule(field, dims, arrows, annotations)
+    return ZigzagModule(X.field, [h.rank for h in bases], arrows, annotations)
 
 
 def extended_profile(X: ConstructibleRSpace, k: int, R: Rectangle

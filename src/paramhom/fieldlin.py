@@ -52,15 +52,16 @@ class PrimeField:
     """F_p together with exact matrix routines.
 
     Args:
-        p: the characteristic; must be prime.
+        p: the characteristic; must be a prime below 2^25.
     """
 
     def __init__(self, p: int):
+        if p >= 1 << 25:
+            # keeps (p-1)^2 and every rref update far below int64 overflow;
+            # checked first, as trial division of a huge p would not finish
+            raise ValueError(f"characteristic {p} too large for exact int64 arithmetic")
         if not _is_prime(p):
             raise ValueError(f"characteristic {p} is not prime")
-        if p >= 1 << 25:
-            # keeps (p-1)^2 and every rref update far below int64 overflow
-            raise ValueError(f"characteristic {p} too large for exact int64 arithmetic")
         self.p = p
         # longest inner dimension whose dot products cannot overflow int64
         self._max_inner = (2 ** 63 - 1) // (p - 1) ** 2
@@ -179,28 +180,19 @@ class PrimeField:
         B = self.normalize(B)
         if Z.shape[0] != B.shape[0]:
             raise ValueError("ambient dimensions differ")
-        n = Z.shape[0]
-        M = np.hstack([B, Z])
-        _, pivots = self.rref(M)
+        n, off = Z.shape[0], B.shape[1] + Z.shape[1]
+        # one elimination: pivots inside [B Z] select the bases, and the
+        # I_n block records the row operations, whose z-rows are coordinates
+        # along the representatives on span(Z)
+        R, pivots = self.rref(np.hstack([B, Z, self.identity(n)]))
+        pivots = [c for c in pivots if c < off]
         # containment is exactly rank([B Z]) == rank(Z)
         if len(pivots) != self.rank(Z):
             raise ValueError("span(B) is not contained in span(Z)")
-        b_sel = [c for c in pivots if c < B.shape[1]]
-        z_sel = [c - B.shape[1] for c in pivots if c >= B.shape[1]]
-        reps = Z[:, z_sel]
-        dim = len(z_sel)
-        W = np.hstack([B[:, b_sel], reps])
-        # extend W to a basis of the ambient space by identity columns
-        _, piv2 = self.rref(np.hstack([W, self.identity(n)]))
-        extra = [c - W.shape[1] for c in piv2 if c >= W.shape[1]]
-        G = np.hstack([W, self.identity(n)[:, extra]])
-        if G.shape != (n, n):
-            raise ValueError(f"basis extension has shape {G.shape}, not {(n, n)}")
-        R3, piv3 = self.rref(np.hstack([G, self.identity(n)]))
-        if piv3 != list(range(n)):
-            raise ValueError("basis extension failed")
-        Ginv = R3[:, n:]
-        proj = Ginv[len(b_sel):len(b_sel) + dim, :]
+        nb = sum(c < B.shape[1] for c in pivots)
+        reps = Z[:, [c - B.shape[1] for c in pivots[nb:]]]
+        dim = len(pivots) - nb
+        proj = R[nb:nb + dim, off:]
         if not np.array_equal(self.matmul(proj, reps), self.identity(dim)):
             raise ValueError("projection does not invert the representatives")
         if B.shape[1] and self.matmul(proj, B).any():

@@ -66,9 +66,13 @@ def parse_real(v) -> float:
         raise InputError(f"expected a number or an infinity literal, got {v!r}")
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         raise InputError(f"expected a number, got {v!r}")
-    if not math.isfinite(v):
+    try:
+        x = float(v)
+    except OverflowError:
+        raise InputError("number out of the floating-point range") from None
+    if not math.isfinite(x):
         raise InputError("non-finite numbers must be spelled 'inf' or '-inf'")
-    return float(v)
+    return x
 
 
 # -- input spaces ---------------------------------------------------------------
@@ -161,7 +165,7 @@ def load_space(path: str) -> tuple[ConstructibleRSpace, int]:
             doc = json.load(fh)
     except OSError as e:
         raise InputError(f"cannot read {path}: {e}") from e
-    except json.JSONDecodeError as e:
+    except ValueError as e:  # bad JSON, bad UTF-8, or an over-long integer
         raise InputError(f"{path}: {e}") from e
     return parse_space(doc)
 
@@ -221,7 +225,7 @@ def load_diagram(path: str) -> list[dict]:
             doc = json.load(fh)
     except OSError as e:
         raise InputError(f"cannot read {path}: {e}") from e
-    except json.JSONDecodeError as e:
+    except ValueError as e:  # bad JSON, bad UTF-8, or an over-long integer
         raise InputError(f"{path}: {e}") from e
     return parse_diagram(doc)
 

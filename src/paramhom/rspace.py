@@ -26,6 +26,7 @@ from .complexes import (
     HomologyBasis,
     SimplicialComplex,
     chain_complex,
+    coordinate_homology_map,
     homology,
     induced_chain_map,
     induced_homology_map,
@@ -58,11 +59,14 @@ class SlicePlan:
 
 @dataclass
 class SliceResult:
-    """Chain model of a slice plus the inclusions of its two end fibers."""
+    """Chain model of a slice: the telescope of plan.nodes, or the one piece.
+
+    The end fibers in plan.nodes include as coordinate blocks: the first
+    node's columns come first in each degree, the last node's follow the
+    dimensions of all the nodes before it.
+    """
 
     complex: ChainComplex
-    incl_p: ChainMap
-    incl_q: ChainMap
     plan: SlicePlan
 
 
@@ -200,22 +204,14 @@ class ConstructibleRSpace:
         return result
 
     def _build_slice(self, plan: SlicePlan) -> SliceResult:
-        field = self.field
-        if not plan.nodes:
-            empty = self.piece_chain(None)
-            ident = ChainMap.identity(empty)
-            return SliceResult(empty, ident, ident, plan)
-        if len(plan.nodes) == 1:
-            C = self.piece_chain(plan.nodes[0])
-            incl = ChainMap.identity(C)
-            ip = incl if plan.fiber_p == plan.nodes[0] else self._empty_into(C)
-            iq = incl if plan.fiber_q == plan.nodes[0] else self._empty_into(C)
-            return SliceResult(C, ip, iq, plan)
+        if len(plan.nodes) <= 1:
+            return SliceResult(self.piece_chain(plan.nodes[0] if plan.nodes else None), plan)
         node_chains = [self.piece_chain(k) for k in plan.nodes]
         edges = []
         for a, b in zip(plan.nodes, plan.nodes[1:]):
             if a[0] == "V" and b[0] == "V":
-                assert b[1] == a[1] + 1
+                if b[1] != a[1] + 1:
+                    raise ValueError(f"slice plan skips from {a} to {b}")
                 E = self.piece_chain(("E", a[1]))
                 lm, rm = self.edge_chain_maps(a[1])
                 edges.append((E, lm, rm))
@@ -229,15 +225,7 @@ class ConstructibleRSpace:
                 E = self.piece_chain(b)
                 lm, _ = self.edge_chain_maps(b[1])
                 edges.append((E, lm, ChainMap.identity(E)))
-        tel = telescope(node_chains, edges)
-        incl_p = (tel.node_inclusions[0] if plan.fiber_p == plan.nodes[0]
-                  else self._empty_into(tel.complex))
-        incl_q = (tel.node_inclusions[-1] if plan.fiber_q == plan.nodes[-1]
-                  else self._empty_into(tel.complex))
-        return SliceResult(tel.complex, incl_p, incl_q, plan)
-
-    def _empty_into(self, C: ChainComplex) -> ChainMap:
-        return ChainMap(self.piece_chain(None), C, {}, check=False)
+        return SliceResult(telescope(node_chains, edges), plan)
 
     # -- homology with plan-level caching ---------------------------------------
 
@@ -269,13 +257,18 @@ class ConstructibleRSpace:
                        ) -> tuple[HomologyBasis, np.ndarray, np.ndarray]:
         """H_k of the slice and the two induced maps from the end fibers."""
         sl = self.slice(p, q)
-        key = ("slice", sl.plan, k)
+        plan = sl.plan
+        key = ("slice", plan, k)
         if key not in self._homology:
             h = homology(sl.complex, k)
-            hp = self.fiber_homology(p, k)
-            hq = self.fiber_homology(q, k)
-            mp = induced_homology_map(sl.incl_p, hp, h)
-            mq = induced_homology_map(sl.incl_q, hq, h)
+            # an end fiber outside plan.nodes is empty and maps no column
+            dims = [self.piece_chain(n).dim(k) for n in plan.nodes]
+            at_p = range(dims[0]) if plan.nodes and plan.fiber_p == plan.nodes[0] else []
+            off = sum(dims[:-1])
+            at_q = (range(off, off + dims[-1])
+                    if plan.nodes and plan.fiber_q == plan.nodes[-1] else [])
+            mp = coordinate_homology_map(self.fiber_homology(p, k), h, at_p)
+            mq = coordinate_homology_map(self.fiber_homology(q, k), h, at_q)
             self._homology[key] = (h, mp, mq)
         return self._homology[key]
 

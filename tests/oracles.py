@@ -8,6 +8,9 @@ decomposition is known ahead of time and hides it behind random basis
 changes.  Neither goes anywhere near the code path used by decompose().
 extract_diagram reads a diagram off any rectangle measure by probing, so
 the measure route can be compared with the levelset zigzag route.
+dense_homology and dense_coordinate_map are the dense route to homology
+maps: a basis extension inverted in full, and coordinate chain maps as
+commutation-checked 0/1 matrices multiplied out.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from paramhom.complexes import ChainComplex, ChainMap, HomologyBasis
 from paramhom.diagrams import BehaviorType, DecoratedDiagram, DecoratedPoint, Rectangle
 from paramhom.fieldlin import PrimeField
 from paramhom.zigzag import ZigzagModule, limit_colimit_rank
@@ -29,6 +33,46 @@ def invert(field: PrimeField, A: np.ndarray) -> np.ndarray:
     R, piv = field.rref(np.hstack([A, field.identity(n)]))
     assert piv == list(range(n)), "matrix not invertible"
     return R[:, n:]
+
+
+def dense_homology(C: ChainComplex, k: int) -> HomologyBasis:
+    """H_k(C) with its projection read off an inverted basis extension.
+
+    The cycle basis is extended to all of C_k by identity columns and the
+    extension inverted; the rows dual to the representatives project.
+    """
+    field = C.field
+    Z = field.kernel_basis(C.boundary(k))
+    B = field.column_space_basis(C.boundary(k + 1))
+    _, pivots = field.rref(np.hstack([B, Z]))
+    b_sel = [c for c in pivots if c < B.shape[1]]
+    reps = Z[:, [c - B.shape[1] for c in pivots if c >= B.shape[1]]]
+    W = np.hstack([B[:, b_sel], reps])
+    n = Z.shape[0]
+    _, piv = field.rref(np.hstack([W, field.identity(n)]))
+    G = np.hstack([W, field.identity(n)[:, [c - W.shape[1] for c in piv if c >= W.shape[1]]]])
+    proj = invert(field, G)[len(b_sel):len(b_sel) + reps.shape[1]]
+    return HomologyBasis(C, k, reps, proj)
+
+
+def coordinate_matrix(n: int, kept: Sequence[int]) -> np.ndarray:
+    """The n x len(kept) 0/1 matrix including coordinate kept[j] as column j."""
+    E = np.zeros((n, len(kept)), dtype=np.int64)
+    E[list(kept), list(range(len(kept)))] = 1
+    return E
+
+
+def dense_coordinate_map(C: ChainComplex, src: ChainComplex, src_kept: dict,
+                         tgt: ChainComplex, tgt_kept: dict) -> ChainMap:
+    """Checked chain map between two coordinate pieces of C.
+
+    Each piece keeps the columns of C listed per degree; the map includes
+    the source's columns into C and projects onto the target's.
+    """
+    mats = {k: coordinate_matrix(C.dim(k), tgt_kept.get(k, [])).T
+            @ coordinate_matrix(C.dim(k), src_kept.get(k, []))
+            for k in src.degrees()}
+    return ChainMap(src, tgt, mats)
 
 
 def random_invertible(rng: random.Random, field: PrimeField, n: int) -> np.ndarray:

@@ -1,5 +1,8 @@
 import math
+import os
 import random
+import subprocess
+import sys
 from collections import Counter
 
 import pytest
@@ -94,6 +97,35 @@ class TestBottleneck:
     @settings(max_examples=120, deadline=None)
     def test_agrees_with_brute_force(self, A, B):
         assert bottleneck_distance(A, B) == brute_bottleneck(A, B)
+
+
+def chain(n: int, length: float = 1000.0):
+    """Diagrams matched at cost 1/2 only through an n-step augmenting path.
+
+    A_i may take B_i or B_{i+1}; the extra point of A needs B_0, which the
+    greedy pass gave to A_0, so every A_i has to shift over by one.
+    """
+    A = [(i + 0.5, i + length + 0.5) for i in range(n)] + [(-0.5, length - 0.5)]
+    B = [(float(i), i + length) for i in range(n + 1)]
+    return A, B
+
+
+class TestDeepAugmentingPath:
+    def test_small_chain_agrees_with_brute_force(self):
+        A, B = chain(4)
+        assert bottleneck_distance(A, B) == brute_bottleneck(A, B) == 0.5
+
+    def test_long_chain_under_a_low_recursion_limit(self):
+        here = os.path.dirname(os.path.abspath(__file__))
+        code = ("import sys; from test_bottleneck import chain; "
+                "from paramhom.bottleneck import bottleneck_distance; "
+                "sys.setrecursionlimit(200); "
+                "print(bottleneck_distance(*chain(300)))")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [os.path.join(here, os.pardir, "src"), here]))
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, env=env, timeout=300)
+        assert proc.stdout.strip() == "0.5", proc.stderr
 
 
 class TestStability:

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -80,6 +83,16 @@ class TestDiagram:
         doc = dict(CIRCLE, **{key: 5})
         assert main(["diagram", write_doc(tmp_path, "bad.json", doc)]) == 2
         assert f"{key} must be a list" in capsys.readouterr().err
+
+    def test_huge_characteristic_exit_2_at_once(self, tmp_path):
+        # 2^61 - 1 is prime: trial division alone would run for hours
+        path = write_doc(tmp_path, "big.json", dict(CIRCLE, characteristic=2 ** 61 - 1))
+        src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+        proc = subprocess.run([sys.executable, "-m", "paramhom.cli", "diagram", path],
+                              capture_output=True, text=True, timeout=30,
+                              env=dict(os.environ, PYTHONPATH=src))
+        assert proc.returncode == 2
+        assert "too large" in proc.stderr
 
     def test_unreadable_file_exit_2(self, tmp_path, capsys):
         assert main(["diagram", str(tmp_path / "missing.json")]) == 2

@@ -15,6 +15,7 @@ from paramhom.complexes import (
     ChainMap,
     SimplicialComplex,
     chain_complex,
+    coordinate_homology_map,
     homology,
     induced_chain_map,
     induced_homology_map,
@@ -25,6 +26,7 @@ from paramhom.complexes import (
 from paramhom.fieldlin import PrimeField
 
 from corpus import euler_characteristic
+from oracles import dense_coordinate_map
 
 F2, F3, F5 = PrimeField(2), PrimeField(3), PrimeField(5)
 
@@ -119,7 +121,9 @@ def test_subcomplex_inclusion():
     S = SimplicialComplex(TRIANGLE_BOUNDARY)
     C = chain_complex(S, F2)
     # the arc 0-1, 1-2 with all three vertices
-    sub, incl = subcomplex(C, {0: [0, 1, 2], 1: [0, 2]})
+    sub, kept = subcomplex(C, {0: [0, 1, 2], 1: [0, 2]})
+    assert kept == {0: [0, 1, 2], 1: [0, 2]}
+    incl = dense_coordinate_map(C, sub, kept, C, {k: range(C.dim(k)) for k in C.degrees()})
     assert homology(sub, 0).rank == 1
     assert homology(sub, 1).rank == 0
     for k in (0, 1):
@@ -144,11 +148,15 @@ def _telescope_circle(field):
 @pytest.mark.parametrize("field", [F2, F3, F5])
 def test_telescope_builds_a_circle(field):
     tel = _telescope_circle(field)
-    assert homology(tel.complex, 0).rank == 1
-    assert homology(tel.complex, 1).rank == 1
-    # inclusions are chain maps into the total complex
-    for inc in tel.node_inclusions:
-        ChainMap(inc.src, inc.tgt, inc.matrices)  # re-checks commuting
+    assert homology(tel, 0).rank == 1
+    assert homology(tel, 1).rank == 1
+    # each node includes as the coordinate block after the earlier nodes;
+    # dense_coordinate_map builds a ChainMap, which checks commuting
+    pt = chain_complex(SimplicialComplex([("p",)]), field)
+    everything = {k: range(tel.dim(k)) for k in tel.degrees()}
+    for t in (0, 1):
+        dense_coordinate_map(tel, pt, {0: [t]}, tel, everything)
+    assert tel.labels[0][:2] == [("v", 0, ("l",)), ("v", 1, ("r",))]
 
 
 @pytest.mark.parametrize("field", [F2, F3, F5])
@@ -159,9 +167,9 @@ def test_mapping_cylinder_retracts_to_target(field):
     ident = induced_chain_map({v: v for v in circle.vertices}, circle, circle, Cc, Cc)
     collapse = induced_chain_map({0: 9, 1: 9, 2: 9}, circle, point, Cc, Cp)
     tel = telescope([Cc, Cp], [(Cc, ident, collapse)])
-    assert homology(tel.complex, 0).rank == 1
-    assert homology(tel.complex, 1).rank == 0
-    assert euler_characteristic(tel.complex) == 1
+    assert homology(tel, 0).rank == 1
+    assert homology(tel, 1).rank == 0
+    assert euler_characteristic(tel) == 1
 
 
 def _random_complex(draw, vertices, max_extra_dim=2):
@@ -204,11 +212,11 @@ def test_telescope_euler_characteristic(data):
         edges.append((CE, lm, lm))
     tel = telescope(nodes, [(edges[0][0], edges[0][1], edges[0][2]),
                             (edges[1][0], edges[1][1], edges[1][2])])
-    chi = euler_characteristic(tel.complex)
+    chi = euler_characteristic(tel)
     want = 3 * 1 - euler_characteristic(edges[0][0]) - euler_characteristic(edges[1][0])
     assert chi == want
     # telescope of identity cylinders over a full simplex is contractible
-    assert homology(tel.complex, 0).rank == 1
+    assert homology(tel, 0).rank == 1
 
 
 def test_chain_complex_rejects_broken_boundary():
@@ -228,11 +236,32 @@ def test_chain_map_rejects_non_commuting_matrices():
 
 
 def test_checks_survive_optimized_mode():
-    code = ("from paramhom.complexes import ChainComplex; "
-            "from paramhom.fieldlin import PrimeField; "
-            "ChainComplex(PrimeField(2), {0: ['a'], 1: ['e'], 2: ['t']}, "
-            "{1: [[1]], 2: [[1]]})")
+    header = ("from paramhom.complexes import ChainComplex, SimplicialComplex, "
+              "chain_complex, telescope; from paramhom.fieldlin import PrimeField; ")
+    cases = [
+        ("ChainComplex(PrimeField(2), {0: ['a'], 1: ['e'], 2: ['t']}, "
+         "{1: [[1]], 2: [[1]]})", "ValueError: d o d != 0"),
+        ("C = chain_complex(SimplicialComplex([(0,)]), PrimeField(2)); "
+         "telescope([C, C], [])", "ValueError: 2 nodes need 1 edges"),
+    ]
     src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
-    proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True,
-                          text=True, env=dict(os.environ, PYTHONPATH=src), timeout=60)
-    assert "ValueError: d o d != 0" in proc.stderr, proc.stderr
+    for code, message in cases:
+        proc = subprocess.run([sys.executable, "-O", "-c", header + code],
+                              capture_output=True, text=True,
+                              env=dict(os.environ, PYTHONPATH=src), timeout=60)
+        assert message in proc.stderr, proc.stderr
+
+
+def test_homology_maps_reject_mismatched_inputs():
+    seg = SimplicialComplex([(0, 1)])
+    C = chain_complex(seg, F3)
+    h0, h1 = homology(C, 0), homology(C, 1)
+    # the endpoint swap as a coordinate map: column j goes to column 1 - j
+    assert np.array_equal(coordinate_homology_map(h0, h0, [1, 0]), [[1]])
+    assert np.array_equal(coordinate_homology_map(h0, h0, [-1, -1]), [[0]])
+    with pytest.raises(ValueError, match="columns"):
+        coordinate_homology_map(h0, h0, [0])
+    with pytest.raises(ValueError, match="degrees"):
+        coordinate_homology_map(h0, h1, [0, 1])
+    with pytest.raises(ValueError, match="degrees"):
+        induced_homology_map(ChainMap.identity(C), h0, h1)

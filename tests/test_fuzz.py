@@ -1,0 +1,112 @@
+"""Malformed input never escapes as a traceback.
+
+parse_space and parse_diagram either return or raise InputError, and the
+CLI answers any input file with exit 0, 1 or 2.
+"""
+
+import contextlib
+import io
+import json
+import os
+import tempfile
+
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
+
+from paramhom.cli import main
+from paramhom.io import InputError, parse_diagram, parse_space
+
+CIRCLE = {
+    "critical_values": [0, 1],
+    "vertex_complexes": [[[0]], [[0]]],
+    "edge_complexes": [[[0], [1]]],
+    "left_maps": [{"0": 0, "1": 0}],
+    "right_maps": [{"0": 0, "1": 0}],
+}
+ENTRY = {"dim": 0, "type": "cc", "birth": 0, "death": 1, "multiplicity": 1}
+
+# integers past the float range and past int64, and a huge prime
+BIG = [10 ** 400, -10 ** 400, 2 ** 63, 2305843009213693951]
+
+leaves = (st.none() | st.booleans() | st.integers() | st.floats() | st.sampled_from(BIG)
+          | st.sampled_from(["inf", "-inf", "+inf", "cc", "oo", "0", "-1"])
+          | st.text(max_size=4))
+json_values = st.recursive(
+    leaves,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=3) | st.sampled_from(["0", "1", "-1"]),
+                      inner, max_size=4),
+    max_leaves=12)
+
+
+@st.composite
+def near_valid(draw, valid: dict, extra_keys: list[str]) -> dict:
+    """A valid document with some keys dropped or replaced by junk."""
+    doc = {}
+    for key in list(valid) + extra_keys:
+        choice = draw(st.sampled_from(["keep", "keep", "junk", "drop"]))
+        if choice == "junk":
+            doc[key] = draw(json_values)
+        elif choice == "keep" and key in valid:
+            doc[key] = valid[key]
+    return doc
+
+
+space_docs = near_valid(CIRCLE, ["characteristic", "max_dim"]) | json_values
+entry_docs = (st.lists(near_valid(ENTRY, []) | json_values, max_size=3) | json_values)
+
+
+def _outcome(parse, doc) -> None:
+    try:
+        parse(doc)
+    except InputError:
+        pass
+
+
+def _exit_code(command: str, docs: list, options: list[str] = []) -> int:
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = []
+        for i, doc in enumerate(docs):
+            paths.append(os.path.join(tmp, f"{i}.json"))
+            with open(paths[-1], "w", encoding="utf-8") as fh:
+                json.dump(doc, fh)
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            return main([command, *paths, *options])
+
+
+@settings(max_examples=300, deadline=None)
+@given(space_docs)
+@example(dict(CIRCLE, critical_values=[10 ** 400, 10 ** 401]))
+@example(dict(CIRCLE, characteristic=2305843009213693951))
+def test_parse_space_accepts_or_raises_input_error(doc):
+    _outcome(parse_space, doc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(entry_docs)
+@example([dict(ENTRY, birth=-10 ** 400)])
+def test_parse_diagram_accepts_or_raises_input_error(doc):
+    _outcome(parse_diagram, doc)
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(space_docs, entry_docs)
+@example(dict(CIRCLE, max_dim=10 ** 12), [ENTRY])
+def test_cli_exit_codes(space, entries):
+    assert _exit_code("diagram", [space]) in (0, 1, 2)
+    assert _exit_code("plot", [entries]) in (0, 1, 2)
+    assert _exit_code("bottleneck", [entries, [ENTRY]],
+                      ["--dim", "0", "--type", "cc"]) in (0, 1, 2)
+
+
+def test_unreadable_documents_exit_2(tmp_path):
+    too_long = "[" + "1" * 5000 + "]"  # beyond Python's int parsing limit
+    for i, raw in enumerate([too_long.encode(), b"\xff\xfe\x00", b"{"]):
+        path = tmp_path / f"{i}.json"
+        path.write_bytes(raw)
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            assert main(["diagram", str(path)]) == 2
+            assert main(["plot", str(path)]) == 2
