@@ -16,7 +16,7 @@ from .extended import (ExtendedType, extended_diagrams, extended_direct,
 from .fieldlin import PrimeField
 from .levelset import all_diagrams, levelset_zigzag, translate
 from .measures import measure_direct, measure_profile, measure_via_diagram
-from .rspace import ConstructibleRSpace, refine
+from .rspace import ConstructibleRSpace
 from .zigzag import DecompositionError, ZigzagModule, decompose
 
 __version__ = "0.1.0"
@@ -46,7 +46,6 @@ __all__ = [
     "measure_direct",
     "measure_profile",
     "measure_via_diagram",
-    "refine",
     "stability_report",
     "translate",
     "__version__",

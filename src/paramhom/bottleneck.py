@@ -13,6 +13,8 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
+import numpy as np
+
 from .diagrams import BehaviorType, undecorate
 from .levelset import all_diagrams
 from .rspace import ConstructibleRSpace
@@ -60,26 +62,29 @@ def _expand(D: Mapping[Point, int] | Iterable[Point]) -> list[Point]:
     return [(float(p), float(q)) for p, q in D]
 
 
-def _feasible(a_pts: list[Point], b_pts: list[Point], delta: float) -> bool:
+def _feasible(cost: np.ndarray, diag_a: list[float], diag_b: list[float],
+              delta: float) -> bool:
     """Is there a partial matching of cost <= delta?
 
-    Reduction to perfect bipartite matching: the left side is A plus one
-    diagonal slot per point of B, the right side is B plus one slot per
-    point of A; diagonal slots pair with their own point when that point
-    may stay unmatched, and with each other freely.
+    cost[i][j] is the distance from point i of A to point j of B, and
+    diag_a, diag_b the distances of the points to the diagonal.  Reduction
+    to perfect bipartite matching: the left side is A plus one diagonal slot
+    per point of B, the right side is B plus one slot per point of A;
+    diagonal slots pair with their own point when that point may stay
+    unmatched, and with each other freely.
     """
-    na, nb = len(a_pts), len(b_pts)
+    na, nb = len(diag_a), len(diag_b)
     size = na + nb
     adj: list[list[int]] = []
     for i in range(na):
-        row = [j for j in range(nb) if dinf(a_pts[i], b_pts[j]) <= delta]
-        if diagonal_distance(a_pts[i]) <= delta:
+        row = np.flatnonzero(cost[i] <= delta).tolist()
+        if diag_a[i] <= delta:
             row.append(nb + i)
         adj.append(row)
     diag_row = list(range(nb, size))
     for j in range(nb):
         row = list(diag_row)
-        if diagonal_distance(b_pts[j]) <= delta:
+        if diag_b[j] <= delta:
             row.append(j)
         adj.append(row)
 
@@ -125,19 +130,20 @@ def bottleneck_distance(A, B) -> float:
     a_pts, b_pts = _expand(A), _expand(B)
     if not a_pts and not b_pts:
         return 0.0
-    candidates = {0.0, math.inf}
-    candidates.update(diagonal_distance(x) for x in a_pts)
-    candidates.update(diagonal_distance(y) for y in b_pts)
-    candidates.update(dinf(x, y) for x in a_pts for y in b_pts)
-    ordered = sorted(candidates)
+    cost = np.empty((len(a_pts), len(b_pts)))
+    for i, x in enumerate(a_pts):
+        cost[i] = [dinf(x, y) for y in b_pts]
+    diag_a = [diagonal_distance(x) for x in a_pts]
+    diag_b = [diagonal_distance(y) for y in b_pts]
+    ordered = np.unique(np.concatenate([cost.ravel(), diag_a, diag_b, [0.0, math.inf]]))
     lo, hi = 0, len(ordered) - 1
     while lo < hi:
         mid = (lo + hi) // 2
-        if _feasible(a_pts, b_pts, ordered[mid]):
+        if _feasible(cost, diag_a, diag_b, ordered[mid]):
             hi = mid
         else:
             lo = mid + 1
-    return ordered[lo]
+    return float(ordered[lo])
 
 
 @dataclass(frozen=True)

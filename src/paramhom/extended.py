@@ -20,19 +20,27 @@ whole space, so the seven chain maps are coordinate inclusions, coordinate
 projections, and composites of the two: each sends a kept column of the
 telescope to the same column in its target, or to 0 where the target
 quotients it away.
+
+A corner t in a gap (a_i, a_{i+1}) snaps to a critical value: X^t is taken
+as the telescope of X^{a_i} and X_t as that of X_{a_{i+1}}.  X^t is X^{a_i}
+with the mapping cylinder of l_i: E_i -> V_i cut at t attached, and that
+cylinder retracts onto V_i; likewise X_t retracts onto X_{a_{i+1}} through
+the cylinder of r_i.  The retractions commute with every inclusion in the
+filtration, so the snapped module is isomorphic to the one over t and
+decomposes the same way, with no new critical value and no new space.
 """
 
 from __future__ import annotations
 
-import math
 from enum import Enum
 from typing import Mapping
 
 from .complexes import (ChainComplex, coordinate_homology_map, homology,
                         quotient_complex, subcomplex, telescope)
 from .diagrams import BehaviorType, DecoratedDiagram, Rectangle
-from .rspace import ConstructibleRSpace, refine
-from .zigzag import FORWARD, ZigzagModule, decompose, multiplicity
+from .levelset import all_diagrams
+from .rspace import ConstructibleRSpace
+from .zigzag import FORWARD, ZigzagModule, decompose
 
 __all__ = [
     "ExtendedType",
@@ -111,7 +119,6 @@ def _superlevel_columns(X: ConstructibleRSpace, full: ChainComplex,
 def extended_module(X: ConstructibleRSpace, k: int, R: Rectangle) -> ZigzagModule:
     """Degree-k homology of the eight-node filtration selected by R."""
     corners = (R.a, R.b, R.c, R.d)
-    X = refine(X, [v for v in corners if math.isfinite(v)])
     full = _whole_telescope(X)
     # each piece with the telescope columns it keeps, in filtration order
     pieces = ([subcomplex(full, _sublevel_columns(X, full, t)) for t in corners]
@@ -138,8 +145,7 @@ def extended_profile(X: ConstructibleRSpace, k: int, R: Rectangle
 def extended_direct(X: ConstructibleRSpace, k: int, t: ExtendedType,
                     R: Rectangle) -> int:
     """Extended measure of kind t in degree k over the rectangle R."""
-    span = PATTERNS[t]
-    return multiplicity(extended_module(X, k, R), *span)
+    return extended_profile(X, k, R)[t]
 
 
 def extended_from_parametrized(
@@ -166,8 +172,6 @@ def extended_from_parametrized(
 def extended_diagrams(X: ConstructibleRSpace
                       ) -> dict[int, dict[ExtendedType, DecoratedDiagram]]:
     """Extended diagrams of X in every degree carrying homology."""
-    from .levelset import all_diagrams
-
     by_dim = {k: all_diagrams(X, k)
               for k in range(max(X.max_piece_dimension(), 0) + 1)}
     return extended_from_parametrized(by_dim)

@@ -170,11 +170,15 @@ class PrimeField:
         """Present the quotient span(Z)/span(B).
 
         Args:
-            Z: matrix whose columns span the ambient subspace.
+            Z: matrix whose columns are a basis of the ambient subspace, as
+                kernel_basis returns.
             B: matrix whose columns span the subspace to kill.
 
         Raises:
-            ValueError: if span(B) is not contained in span(Z).
+            ValueError: if rank [B Z] is not the column count of Z.  For a
+                basis Z that is exactly when span(B) is not contained in
+                span(Z); a Z with dependent columns fails it whenever span(B)
+                is contained in span(Z).
         """
         Z = self.normalize(Z)
         B = self.normalize(B)
@@ -186,9 +190,10 @@ class PrimeField:
         # along the representatives on span(Z)
         R, pivots = self.rref(np.hstack([B, Z, self.identity(n)]))
         pivots = [c for c in pivots if c < off]
-        # containment is exactly rank([B Z]) == rank(Z)
-        if len(pivots) != self.rank(Z):
-            raise ValueError("span(B) is not contained in span(Z)")
+        # a basis Z has rank equal to its column count, and containment is
+        # exactly rank([B Z]) == rank(Z)
+        if len(pivots) != Z.shape[1]:
+            raise ValueError("Z is not a basis, or span(B) is not contained in span(Z)")
         nb = sum(c < B.shape[1] for c in pivots)
         reps = Z[:, [c - B.shape[1] for c in pivots[nb:]]]
         dim = len(pivots) - nb

@@ -38,7 +38,6 @@ __all__ = [
     "ConstructibleRSpace",
     "SlicePlan",
     "SliceResult",
-    "refine",
 ]
 
 
@@ -271,39 +270,3 @@ class ConstructibleRSpace:
             mq = coordinate_homology_map(self.fiber_homology(q, k), h, at_q)
             self._homology[key] = (h, mp, mq)
         return self._homology[key]
-
-
-def refine(X: ConstructibleRSpace, cuts: Sequence[float]) -> ConstructibleRSpace:
-    """Insert regular values as artificial critical values.
-
-    Over an inserted t in the gap (a_i, a_{i+1}) the new critical fiber is
-    E_i itself, attached by identities on both sides, so the refined space is
-    the same space; cuts outside the open support or at existing critical
-    values are ignored.
-    """
-    vals = X.critical_values
-    inner = sorted({float(t) for t in cuts
-                    if vals[0] < t < vals[-1] and t not in vals})
-    if not inner:
-        return X
-    values = [vals[0]]
-    verts = [X.vertex_complexes[0]]
-    edges, lmaps, rmaps = [], [], []
-    for i in range(len(vals) - 1):
-        E = X.edge_complexes[i]
-        ident = {v: v for v in E.vertices}
-        gap_cuts = [t for t in inner if vals[i] < t < vals[i + 1]]
-        left = X.left_maps[i]
-        for t in gap_cuts:
-            edges.append(E)
-            lmaps.append(left)
-            rmaps.append(ident)
-            values.append(t)
-            verts.append(E)
-            left = ident
-        edges.append(E)
-        lmaps.append(left)
-        rmaps.append(X.right_maps[i])
-        values.append(vals[i + 1])
-        verts.append(X.vertex_complexes[i + 1])
-    return ConstructibleRSpace(values, verts, edges, lmaps, rmaps, X.field)

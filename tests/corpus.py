@@ -3,14 +3,16 @@
 Every builder returns a ConstructibleRSpace.  The expected homology and
 diagrams quoted in the tests were worked out by hand from these models (the
 derivations are sketched next to each builder); nothing here is computed by
-the code under test.  The helpers at the end re-parametrize a space, flip
-its coordinate, and count the Euler characteristic of a chain complex.
+the code under test.  The helpers at the end refine a space at regular
+values, re-parametrize it, flip its coordinate, and count the Euler
+characteristic of a chain complex.
 """
 
 from __future__ import annotations
 
 import math
 import random
+from typing import Sequence
 
 from paramhom.complexes import ChainComplex, SimplicialComplex
 from paramhom.diagrams import Rectangle
@@ -273,6 +275,42 @@ def corpus(field=F2) -> dict[str, ConstructibleRSpace]:
     for i in range(3):
         spaces[f"random_{i}"] = random_space(rng, field)
     return spaces
+
+
+def refine(X: ConstructibleRSpace, cuts: Sequence[float]) -> ConstructibleRSpace:
+    """Insert regular values as artificial critical values.
+
+    Over an inserted t in the gap (a_i, a_{i+1}) the new critical fiber is
+    E_i itself, attached by identities on both sides, so the refined space is
+    the same space; cuts outside the open support or at existing critical
+    values are ignored.
+    """
+    vals = X.critical_values
+    inner = sorted({float(t) for t in cuts
+                    if vals[0] < t < vals[-1] and t not in vals})
+    if not inner:
+        return X
+    values = [vals[0]]
+    verts = [X.vertex_complexes[0]]
+    edges, lmaps, rmaps = [], [], []
+    for i in range(len(vals) - 1):
+        E = X.edge_complexes[i]
+        ident = {v: v for v in E.vertices}
+        gap_cuts = [t for t in inner if vals[i] < t < vals[i + 1]]
+        left = X.left_maps[i]
+        for t in gap_cuts:
+            edges.append(E)
+            lmaps.append(left)
+            rmaps.append(ident)
+            values.append(t)
+            verts.append(E)
+            left = ident
+        edges.append(E)
+        lmaps.append(left)
+        rmaps.append(X.right_maps[i])
+        values.append(vals[i + 1])
+        verts.append(X.vertex_complexes[i + 1])
+    return ConstructibleRSpace(values, verts, edges, lmaps, rmaps, X.field)
 
 
 def with_critical_values(X: ConstructibleRSpace, values) -> ConstructibleRSpace:

@@ -2,10 +2,11 @@
 
 brute_decompose enumerates every nonnegative interval assignment consistent
 with the node dimensions and keeps those matching the full generalized-rank
-table computed by the literal limit->colimit construction; the solution is
-unique by inclusion-exclusion.  planted_zigzag builds a module whose
-decomposition is known ahead of time and hides it behind random basis
-changes.  Neither goes anywhere near the code path used by decompose().
+table computed by the literal limit->colimit construction,
+limit_colimit_rank; the solution is unique by inclusion-exclusion, and
+multiplicity reads one interval off the same ranks.  planted_zigzag builds
+a module whose decomposition is known ahead of time and hides it behind
+random basis changes.  Neither goes anywhere near the code path used by decompose().
 extract_diagram reads a diagram off any rectangle measure by probing, so
 the measure route can be compared with the levelset zigzag route.
 dense_homology and dense_coordinate_map are the dense route to homology
@@ -25,7 +26,7 @@ import numpy as np
 from paramhom.complexes import ChainComplex, ChainMap, HomologyBasis
 from paramhom.diagrams import BehaviorType, DecoratedDiagram, DecoratedPoint, Rectangle
 from paramhom.fieldlin import PrimeField
-from paramhom.zigzag import ZigzagModule, limit_colimit_rank
+from paramhom.zigzag import FORWARD, DecompositionError, ZigzagModule
 
 
 def invert(field: PrimeField, A: np.ndarray) -> np.ndarray:
@@ -129,6 +130,87 @@ def planted_zigzag(rng: random.Random, field: PrimeField, max_len: int = 6,
             M = field.matmul(field.matmul(change[i], M), invert(field, change[i + 1]))
         arrows.append((direction, M))
     return ZigzagModule(field, dims, arrows), dict(Counter(bars))
+
+
+def _check_range(Z: ZigzagModule, p: int, q: int) -> None:
+    if not (1 <= p <= q <= Z.n):
+        raise ValueError(f"interval [{p}, {q}] out of range 1..{Z.n}")
+
+
+def limit_colimit_rank(Z: ZigzagModule, p: int, q: int) -> int:
+    """Rank of the canonical map lim -> colim over the restriction to [p, q].
+
+    The limit is the subspace of the direct sum of V_p..V_q cut out by the
+    arrow-compatibility equations; the colimit is the direct sum modulo the
+    arrow-difference relations.  A compatible tuple maps to the class of any
+    single component (the relations make all components agree, so the first
+    one is used; summing them instead would scale the class by q - p + 1,
+    which can vanish mod p).  This is the literal construction;
+    decompose() computes the same table by a subspace sweep.
+    """
+    _check_range(Z, p, q)
+    fld = Z.field
+    dims = Z.dims[p - 1:q]
+    total = sum(dims)
+    offs = np.concatenate([[0], np.cumsum(dims)]).astype(int)
+    if total == 0:
+        return 0
+
+    span = list(range(p - 1, q - 1))  # 0-based arrow indices inside [p, q]
+    eq_rows = sum(Z.dims[i + 1] if Z.arrows[i][0] == FORWARD else Z.dims[i]
+                  for i in span)
+    L = fld.zeros(eq_rows, total)
+    row = 0
+    for i in span:
+        a, b = i - (p - 1), i + 1 - (p - 1)  # local block indices
+        direction, M = Z.arrows[i]
+        if direction == FORWARD:
+            # f(v_a) - v_b = 0
+            L[row:row + dims[b], offs[a]:offs[a + 1]] = M
+            L[row:row + dims[b], offs[b]:offs[b + 1]] = (-fld.identity(dims[b])) % fld.p
+            row += dims[b]
+        else:
+            # g(v_b) - v_a = 0
+            L[row:row + dims[a], offs[b]:offs[b + 1]] = M
+            L[row:row + dims[a], offs[a]:offs[a + 1]] = (-fld.identity(dims[a])) % fld.p
+            row += dims[a]
+    K = fld.kernel_basis(L) if eq_rows else fld.identity(total)
+    # embed the first component of each compatible tuple back into the sum
+    lim_img = fld.zeros(total, K.shape[1])
+    lim_img[offs[0]:offs[1], :] = K[offs[0]:offs[1], :]
+
+    rel_cols = sum(Z.dims[i] if Z.arrows[i][0] == FORWARD else Z.dims[i + 1]
+                   for i in span)
+    Rel = fld.zeros(total, rel_cols)
+    col = 0
+    for i in span:
+        a, b = i - (p - 1), i + 1 - (p - 1)
+        direction, M = Z.arrows[i]
+        if direction == FORWARD:
+            # iota_a(v) - iota_b(f v)
+            Rel[offs[a]:offs[a + 1], col:col + dims[a]] = fld.identity(dims[a])
+            Rel[offs[b]:offs[b + 1], col:col + dims[a]] = (-M) % fld.p
+            col += dims[a]
+        else:
+            Rel[offs[b]:offs[b + 1], col:col + dims[b]] = fld.identity(dims[b])
+            Rel[offs[a]:offs[a + 1], col:col + dims[b]] = (-M) % fld.p
+            col += dims[b]
+    return fld.rank(np.hstack([lim_img, Rel])) - fld.rank(Rel)
+
+
+def multiplicity(Z: ZigzagModule, p: int, q: int) -> int:
+    """Multiplicity of the interval summand I[p, q], by inclusion-exclusion."""
+    _check_range(Z, p, q)
+
+    def R(a: int, b: int) -> int:
+        if a < 1 or b > Z.n or a > b:
+            return 0
+        return limit_colimit_rank(Z, a, b)
+
+    m = R(p, q) - R(p - 1, q) - R(p, q + 1) + R(p - 1, q + 1)
+    if m < 0:
+        raise DecompositionError(f"negative multiplicity {m} at [{p}, {q}]")
+    return m
 
 
 def brute_decompose(Z: ZigzagModule) -> dict:

@@ -21,7 +21,6 @@ from paramhom.extended import (_sublevel_columns, _superlevel_columns, _whole_te
 from paramhom.fieldlin import PrimeField
 from paramhom.levelset import levelset_zigzag
 from paramhom.measures import rectangle_module
-from paramhom.rspace import refine
 
 import corpus
 from oracles import dense_coordinate_map, dense_homology
@@ -74,7 +73,6 @@ def _dense_levelset_arrows(X, k) -> list:
 
 def _dense_extended_arrows(X, k, R) -> list:
     corners = (R.a, R.b, R.c, R.d)
-    X = refine(X, [v for v in corners if math.isfinite(v)])
     full = _whole_telescope(X)
     pieces = ([subcomplex(full, _sublevel_columns(X, full, t)) for t in corners]
               + [quotient_complex(full, _superlevel_columns(X, full, t))

@@ -13,6 +13,7 @@ from paramhom.extended import (
     extended_module,
     extended_profile,
 )
+from paramhom.fieldlin import PrimeField
 from paramhom.measures import measure_profile
 from paramhom.zigzag import FORWARD
 
@@ -114,6 +115,20 @@ class TestCorrespondence:
                 par = measure_profile(X, k, R)
                 for t, (behavior, shift) in PARAMETRIZED.items():
                     assert ext[k + shift][t] == par[behavior], (name, k, t, R)
+
+
+@pytest.mark.parametrize("p", [2, 3, 33554393])
+def test_snapped_corners_match_refined_space(p):
+    # the module over X's own telescope, with gap corners snapped to critical
+    # values, decomposes like the module over X refined at those corners
+    for name, X in corpus.corpus(PrimeField(p)).items():
+        rng = random.Random(f"{name}/{p}")
+        degrees = range(max(X.max_piece_dimension(), 0) + 2)
+        for i in range(6):
+            R = corpus.random_rectangle(rng, X.critical_values, regular=i % 2 == 0)
+            Y = corpus.refine(X, [v for v in (R.a, R.b, R.c, R.d) if math.isfinite(v)])
+            for k in degrees:
+                assert extended_profile(X, k, R) == extended_profile(Y, k, R), (name, k, R)
 
 
 class TestAdditivity:

@@ -79,8 +79,9 @@ def test_rank_transpose_and_nullity(fm):
 @settings(max_examples=150, deadline=None)
 @given(matrices(max_dim=4), st.data())
 def test_quotient_map_properties(fm, data):
-    field, Z = fm
-    # derive B inside span(Z) so the precondition holds
+    field, M = fm
+    # a basis Z of any subspace, and B inside span(Z): the preconditions
+    Z = field.column_space_basis(M)
     ncols = data.draw(st.integers(0, 3))
     coeffs = np.array(
         data.draw(
@@ -111,6 +112,15 @@ def test_quotient_map_rejects_bad_subspace():
     B = np.array([[0], [1]], dtype=np.int64)
     with pytest.raises(ValueError):
         F2.quotient_map(Z, B)
+
+
+def test_quotient_map_rejects_dependent_columns():
+    F3 = PrimeField(3)
+    Z = np.array([[1, 2], [0, 0]], dtype=np.int64)
+    with pytest.raises(ValueError, match="not a basis"):
+        F3.quotient_map(Z, np.zeros((2, 0), dtype=np.int64))
+    with pytest.raises(ValueError, match="not a basis"):
+        F3.quotient_map(Z, Z[:, :1])
 
 
 def test_quotient_of_plane_by_line():

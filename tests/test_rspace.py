@@ -7,10 +7,10 @@ import pytest
 
 from paramhom.complexes import SimplicialComplex, homology
 from paramhom.fieldlin import PrimeField
-from paramhom.rspace import ConstructibleRSpace, refine
+from paramhom.rspace import ConstructibleRSpace
 
 import corpus
-from corpus import with_critical_values
+from corpus import refine, with_critical_values
 
 F2, F3 = PrimeField(2), PrimeField(3)
 INF = math.inf

@@ -13,12 +13,11 @@ from paramhom.zigzag import (
     coarsen,
     decompose,
     dualize,
-    limit_colimit_rank,
-    multiplicity,
     _rank_table,
 )
 
 import oracles
+from oracles import limit_colimit_rank, multiplicity
 
 F2, F3, F5 = PrimeField(2), PrimeField(3), PrimeField(5)
 
