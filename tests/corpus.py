@@ -254,6 +254,23 @@ def random_space(rng: random.Random, field=F2, max_values: int = 6,
     return ConstructibleRSpace(values, verts, gaps, lmaps, rmaps, field)
 
 
+def tube_space(n_values=20, m=21, field=None):
+    """Alternating disk / circle fibers over n_values levels: one connected
+    component throughout, a circle class that dies at every disk level."""
+    field = field or PrimeField(2)
+    ring = [(f"b{j}", f"b{(j + 1) % m}") for j in range(m)]
+    disk = [("c", f"b{j}", f"b{(j + 1) % m}") for j in range(m)]
+    verts = [SimplicialComplex(disk if i % 2 == 0 else ring)
+             for i in range(n_values)]
+    gaps = [SimplicialComplex(ring) for _ in range(n_values - 1)]
+    ident = {f"b{j}": f"b{j}" for j in range(m)}
+    maps = [dict(ident) for _ in range(n_values - 1)]
+    return ConstructibleRSpace([float(i) for i in range(n_values)],
+                               verts, gaps, maps,
+                               [dict(ident) for _ in range(n_values - 1)],
+                               field)
+
+
 def corpus(field=F2) -> dict[str, ConstructibleRSpace]:
     """The named spaces plus three seeded random ones (16 total)."""
     spaces = {

@@ -4,9 +4,13 @@ brute_decompose enumerates every nonnegative interval assignment consistent
 with the node dimensions and keeps those matching the full generalized-rank
 table computed by the literal limit->colimit construction,
 limit_colimit_rank; the solution is unique by inclusion-exclusion, and
-multiplicity reads one interval off the same ranks.  planted_zigzag builds
+multiplicity reads one interval off the same ranks.  rank_table_decompose
+is the second reference, fast enough for long modules: the same
+inclusion-exclusion over the whole rank table, which rank_table fills by
+one right-to-left subspace sweep per right endpoint.  planted_zigzag builds
 a module whose decomposition is known ahead of time and hides it behind
-random basis changes.  Neither goes anywhere near the code path used by decompose().
+random basis changes.  None of them goes anywhere near the left-to-right
+pass of decompose().
 extract_diagram reads a diagram off any rectangle measure by probing, so
 the measure route can be compared with the levelset zigzag route.
 dense_homology and dense_coordinate_map are the dense route to homology
@@ -146,7 +150,7 @@ def limit_colimit_rank(Z: ZigzagModule, p: int, q: int) -> int:
     single component (the relations make all components agree, so the first
     one is used; summing them instead would scale the class by q - p + 1,
     which can vanish mod p).  This is the literal construction;
-    decompose() computes the same table by a subspace sweep.
+    rank_table computes the same table by a subspace sweep.
     """
     _check_range(Z, p, q)
     fld = Z.field
@@ -211,6 +215,67 @@ def multiplicity(Z: ZigzagModule, p: int, q: int) -> int:
     if m < 0:
         raise DecompositionError(f"negative multiplicity {m} at [{p}, {q}]")
     return m
+
+
+def rank_table(Z: ZigzagModule) -> dict[tuple[int, int], int]:
+    """All generalized ranks r(p, q) by a right-to-left subspace sweep.
+
+    For a fixed right endpoint q, propagate two subspaces of V_i from i = q
+    down to i = p: E_i (values at i extendable to a compatible tuple over
+    [i, q]) and D_i (the kernel of V_i -> colim over [i, q]).  Across a
+    forward arrow both pull back; across a backward arrow both push forward.
+    Then r(p, q) = dim E_p - dim(E_p intersect D_p), computed as
+    rank([E | D]) - rank(D).
+    """
+    fld = Z.field
+    table: dict[tuple[int, int], int] = {}
+    for q in range(1, Z.n + 1):
+        E = fld.identity(Z.dims[q - 1])
+        D = fld.zeros(Z.dims[q - 1], 0)
+        table[(q, q)] = Z.dims[q - 1]
+        for i in range(q - 1, 0, -1):
+            direction, M = Z.arrows[i - 1]
+            if direction == FORWARD:
+                E = _preimage(fld, M, E)
+                D = _preimage(fld, M, D)
+            else:
+                E = fld.column_space_basis(fld.matmul(M, E))
+                D = fld.column_space_basis(fld.matmul(M, D))
+            table[(i, q)] = int(fld.rank(np.hstack([E, D])) - fld.rank(D))
+    return table
+
+
+def _preimage(fld: PrimeField, M: np.ndarray, W: np.ndarray) -> np.ndarray:
+    """Basis of {x : M x in span(W)}."""
+    K = fld.kernel_basis(np.hstack([M, W]))
+    return fld.column_space_basis(K[:M.shape[1], :])
+
+
+def rank_table_decompose(Z: ZigzagModule) -> dict[tuple[int, int], int]:
+    """Interval multiplicities {(p, q): m > 0} from the whole rank table.
+
+    By inclusion-exclusion,
+
+        m[p, q] = r(p, q) - r(p-1, q) - r(p, q+1) + r(p-1, q+1)
+
+    with out-of-range terms zero: an interval I[a, b] adds 1 to r(p, q)
+    exactly when [p, q] lies inside [a, b], whatever the arrow directions.
+    The table takes O(n^2) sweep steps, so keep n moderate.
+    """
+    r = rank_table(Z)
+
+    def R(p: int, q: int) -> int:
+        return r.get((p, q), 0)
+
+    mults: dict[tuple[int, int], int] = {}
+    for p in range(1, Z.n + 1):
+        for q in range(p, Z.n + 1):
+            m = R(p, q) - R(p - 1, q) - R(p, q + 1) + R(p - 1, q + 1)
+            if m < 0:
+                raise DecompositionError(f"negative multiplicity {m} at [{p}, {q}]")
+            if m:
+                mults[(p, q)] = m
+    return mults
 
 
 def brute_decompose(Z: ZigzagModule) -> dict:

@@ -13,13 +13,11 @@ from collections import Counter
 from paramhom.bottleneck import bottleneck_distance
 from paramhom.checks import random_rectangle
 from paramhom.cohomology import cohomology_diagrams
-from paramhom.complexes import SimplicialComplex
 from paramhom.diagrams import BehaviorType, DecoratedPoint, Rectangle, undecorate
 from paramhom.extended import ExtendedType, extended_diagrams, extended_profile
 from paramhom.fieldlin import PrimeField
 from paramhom.levelset import all_diagrams
 from paramhom.measures import full_bar_count, measure_direct, measure_profile
-from paramhom.rspace import ConstructibleRSpace
 from paramhom.zigzag import coarsen, decompose
 
 import corpus
@@ -229,25 +227,8 @@ def test_criterion_11_decoration_typing():
                     assert (pt.pdec, pt.qdec) == pt.behavior_type.decorations
 
 
-def _tube_space(n_values=20, m=21, field=None):
-    """Alternating disk / circle fibers over n_values levels: one connected
-    component throughout, a circle class that dies at every disk level."""
-    field = field or PrimeField(2)
-    ring = [(f"b{j}", f"b{(j + 1) % m}") for j in range(m)]
-    disk = [("c", f"b{j}", f"b{(j + 1) % m}") for j in range(m)]
-    verts = [SimplicialComplex(disk if i % 2 == 0 else ring)
-             for i in range(n_values)]
-    gaps = [SimplicialComplex(ring) for _ in range(n_values - 1)]
-    ident = {f"b{j}": f"b{j}" for j in range(m)}
-    maps = [dict(ident) for _ in range(n_values - 1)]
-    return ConstructibleRSpace([float(i) for i in range(n_values)],
-                               verts, gaps, maps,
-                               [dict(ident) for _ in range(n_values - 1)],
-                               field)
-
-
 def test_criterion_12_performance():
-    X = _tube_space()
+    X = corpus.tube_space()
     total = sum(c.n_simplices() for c in X.vertex_complexes)
     total += sum(c.n_simplices() for c in X.edge_complexes)
     assert total >= 2000, total

@@ -6,20 +6,24 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from paramhom.extended import extended_module
 from paramhom.fieldlin import PrimeField
+from paramhom.levelset import levelset_zigzag
+from paramhom.measures import rectangle_module
 from paramhom.zigzag import (
     DecompositionError,
     ZigzagModule,
     coarsen,
     decompose,
     dualize,
-    _rank_table,
 )
 
+import corpus
 import oracles
-from oracles import limit_colimit_rank, multiplicity
+from oracles import limit_colimit_rank, multiplicity, rank_table
 
 F2, F3, F5 = PrimeField(2), PrimeField(3), PrimeField(5)
+PRIMES = (2, 3, 33554393)
 
 
 def circle_h0_module(field=F2):
@@ -84,7 +88,7 @@ def test_rank_table_matches_direct_construction():
     for _ in range(60):
         field = PrimeField(rng.choice([2, 3, 5]))
         Z = oracles.random_zigzag(rng, field, max_len=6, max_dim=4)
-        table = _rank_table(Z)
+        table = rank_table(Z)
         for p in range(1, Z.n + 1):
             for q in range(p, Z.n + 1):
                 assert table[(p, q)] == limit_colimit_rank(Z, p, q), (Z, p, q)
@@ -171,3 +175,56 @@ def test_annotations_survive_coarsen():
     Z = ZigzagModule(F2, [1, 1, 1], [("f", [[1]]), ("f", [[1]])],
                      annotations=("a", "b", "c"))
     assert coarsen(Z, 2).annotations == ("a", "c")
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_decompose_matches_rank_table_on_random_modules(p):
+    field = PrimeField(p)
+    rng = random.Random(f"random/{p}")
+    for _ in range(24):
+        Z = oracles.random_zigzag(rng, field, max_len=40, max_dim=10)
+        assert decompose(Z) == oracles.rank_table_decompose(Z), Z
+    for _ in range(40):
+        Z = oracles.random_zigzag(rng, field, max_len=12, max_dim=3)
+        assert decompose(Z) == oracles.rank_table_decompose(Z), Z
+    for _ in range(30):
+        Z, want = oracles.planted_zigzag(rng, field, max_len=20, max_bars=15)
+        assert decompose(Z) == oracles.rank_table_decompose(Z) == want, Z
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_decompose_matches_rank_table_on_corpus_modules(p):
+    field = PrimeField(p)
+    rng = random.Random(f"corpus/{p}")
+    for name, X in corpus.corpus(field).items():
+        degrees = range(max(X.max_piece_dimension(), 0) + 1)
+        modules = [levelset_zigzag(X, k) for k in degrees]
+        modules += [dualize(Z) for Z in modules]
+        for _ in range(4):
+            R = corpus.random_rectangle(rng, X.critical_values)
+            modules += [rectangle_module(X, k, R) for k in degrees]
+            modules += [extended_module(X, k, R) for k in degrees]
+        for Z in modules:
+            assert decompose(Z) == oracles.rank_table_decompose(Z), (name, Z)
+
+
+def test_decompose_is_one_pass(monkeypatch):
+    """At most two rref calls per arrow: a quadratic sweep cannot pass."""
+    rng = random.Random(808)
+    modules = [oracles.random_zigzag(rng, PrimeField(rng.choice(PRIMES)),
+                                     max_len=40, max_dim=10) for _ in range(20)]
+    tube = levelset_zigzag(corpus.tube_space(200, 5), 1)
+    assert tube.n == 401
+    modules.append(tube)
+    calls = []
+    rref = PrimeField.rref
+
+    def counted(self, M):
+        calls.append(1)
+        return rref(self, M)
+
+    monkeypatch.setattr(PrimeField, "rref", counted)
+    for Z in modules:
+        calls.clear()
+        decompose(Z)
+        assert len(calls) <= 2 * (Z.n - 1), (Z, len(calls))
