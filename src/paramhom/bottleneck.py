@@ -154,7 +154,8 @@ class StabilityRecord:
 
 
 def _same_combinatorics(X: ConstructibleRSpace, Y: ConstructibleRSpace) -> bool:
-    return (X.n_critical == Y.n_critical
+    return (X.field == Y.field
+            and X.n_critical == Y.n_critical
             and X.vertex_complexes == Y.vertex_complexes
             and X.edge_complexes == Y.edge_complexes
             and X.left_maps == Y.left_maps
@@ -171,10 +172,13 @@ def stability_report(X: ConstructibleRSpace, Y: ConstructibleRSpace,
     undecorated diagrams must be at most delta.
 
     Raises:
-        ValueError: if the spaces differ in anything but their values.
+        ValueError: if the spaces differ in anything but their values, or
+            the tolerance is negative or NaN.
     """
+    if not tolerance >= 0:
+        raise ValueError(f"tolerance must be nonnegative, got {tolerance}")
     if not _same_combinatorics(X, Y):
-        raise ValueError("spaces must share complexes and attaching maps")
+        raise ValueError("spaces must share field, complexes and attaching maps")
     delta = max(abs(a - b) for a, b in zip(X.critical_values, Y.critical_values))
     report = {}
     for k in range(max(X.max_piece_dimension(), 0) + 2):

@@ -123,6 +123,8 @@ def cmd_extended(args) -> int:
 
 
 def cmd_validate(args) -> int:
+    if args.samples < 1:
+        raise InputError("--samples must be at least 1")
     X, _ = load_space(args.input)
     rng = random.Random(args.seed)
     results = run_all(X, rng, samples=args.samples)

@@ -228,9 +228,11 @@ def induced_chain_map(vmap: Mapping, src: SimplicialComplex, tgt: SimplicialComp
 class HomologyBasis:
     """Basis of H_k(C): cycle representatives plus a projection.
 
-    representatives: (dim C_k) x rank matrix of cycles.
+    representatives: (dim C_k) x rank matrix of cycles, columns of the rref
+    kernel basis of d_k.
     projection: rank x (dim C_k); sends a cycle to its class coordinates and
-    boundaries to 0.
+    boundaries to 0.  It reads a cycle only at the free coordinates of that
+    kernel basis, so it is meaningful on cycles alone.
     """
 
     def __init__(self, complex: ChainComplex, k: int, representatives: np.ndarray,
@@ -249,9 +251,24 @@ class HomologyBasis:
 
 
 def homology(C: ChainComplex, k: int) -> HomologyBasis:
-    """H_k(C) = ker d_k / im d_{k+1}, presented with explicit cycle reps."""
-    q = C.field.quotient_map(C.field.kernel_basis(C.boundary(k)), C.boundary(k + 1))
-    return HomologyBasis(C, k, q.representatives, q.projection)
+    """H_k(C) = ker d_k / im d_{k+1}, presented with explicit cycle reps.
+
+    Works in the coordinates of the cycle basis Z = kernel_basis(d_k).  Row
+    free[j] of Z, the lowest nonzero row of column j, is e_j, so every cycle
+    z equals Z @ z[free]; boundaries are cycles, so d_{k+1} = Z @ B_f with
+    B_f = d_{k+1}[free], and H_k is F^f / span(B_f).  The representatives
+    are the columns of Z whose coordinate vectors quotient_map chooses, and
+    the projection is its projection read at the free rows.
+    """
+    field, n = C.field, C.dim(k)
+    Z = field.kernel_basis(C.boundary(k))
+    free = np.where(Z != 0, np.arange(n)[:, None], -1).max(axis=0, initial=-1)
+    if not np.array_equal(Z[free], field.identity(len(free))):
+        raise ValueError("cycle basis is not the identity on its free rows")
+    chosen, proj = field.quotient_map(C.boundary(k + 1)[free])
+    projection = field.zeros(len(chosen), n)
+    projection[:, free] = proj
+    return HomologyBasis(C, k, Z[:, chosen], projection)
 
 
 def induced_homology_map(f: ChainMap, src_h: HomologyBasis,

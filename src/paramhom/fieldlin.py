@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["PrimeField", "QuotientMap"]
+__all__ = ["PrimeField"]
 
 
 def _is_prime(n: int) -> bool:
@@ -26,26 +26,6 @@ def _is_prime(n: int) -> bool:
             return False
         d += 2
     return True
-
-
-class QuotientMap:
-    """Presentation of span(Z)/span(B).
-
-    Attributes:
-        dimension: dim span(Z) - dim span(B).
-        projection: (dimension x n) matrix; sends any vector of span(Z) to
-            its coordinates in the quotient and every vector of span(B) to 0.
-            Its behaviour outside span(Z) is unspecified.
-        representatives: (n x dimension) matrix of vectors in span(Z) whose
-            classes form a basis of the quotient; projection @ representatives
-            is the identity.
-    """
-
-    def __init__(self, dimension: int, projection: np.ndarray,
-                 representatives: np.ndarray):
-        self.dimension = dimension
-        self.projection = projection
-        self.representatives = representatives
 
 
 class PrimeField:
@@ -154,10 +134,8 @@ class PrimeField:
         pivot_set = set(pivots)
         free = [c for c in range(cols) if c not in pivot_set]
         K = self.zeros(cols, len(free))
-        for j, fc in enumerate(free):
-            K[fc, j] = 1
-            for i, pc in enumerate(pivots):
-                K[pc, j] = (-R[i, fc]) % self.p
+        K[free, range(len(free))] = 1
+        K[pivots] = -R[:len(pivots), free] % self.p
         return K
 
     def column_space_basis(self, M) -> np.ndarray:
@@ -166,40 +144,25 @@ class PrimeField:
         _, pivots = self.rref(A)
         return A[:, pivots]
 
-    def quotient_map(self, Z, B) -> QuotientMap:
-        """Present the quotient span(Z)/span(B).
+    def quotient_map(self, B) -> tuple[list[int], np.ndarray]:
+        """Present the quotient F^n / span(B), for any n x m matrix B.
 
-        Args:
-            Z: matrix whose columns are a basis of the ambient subspace, as
-                kernel_basis returns.
-            B: matrix whose columns span the subspace to kill.
-
-        Raises:
-            ValueError: if rank [B Z] is not the column count of Z.  For a
-                basis Z that is exactly when span(B) is not contained in
-                span(Z); a Z with dependent columns fails it whenever span(B)
-                is contained in span(Z).
+        Returns:
+            (chosen, projection): the classes of the standard basis vectors
+            e_j, j in chosen, form a basis of the quotient, and projection
+            (len(chosen) x n) sends a vector to its coordinates in that
+            basis, killing span(B).  len(chosen) is n - rank B.
         """
-        Z = self.normalize(Z)
         B = self.normalize(B)
-        if Z.shape[0] != B.shape[0]:
-            raise ValueError("ambient dimensions differ")
-        n, off = Z.shape[0], B.shape[1] + Z.shape[1]
-        # one elimination: pivots inside [B Z] select the bases, and the
-        # I_n block records the row operations, whose z-rows are coordinates
-        # along the representatives on span(Z)
-        R, pivots = self.rref(np.hstack([B, Z, self.identity(n)]))
-        pivots = [c for c in pivots if c < off]
-        # a basis Z has rank equal to its column count, and containment is
-        # exactly rank([B Z]) == rank(Z)
-        if len(pivots) != Z.shape[1]:
-            raise ValueError("Z is not a basis, or span(B) is not contained in span(Z)")
-        nb = sum(c < B.shape[1] for c in pivots)
-        reps = Z[:, [c - B.shape[1] for c in pivots[nb:]]]
-        dim = len(pivots) - nb
-        proj = R[nb:nb + dim, off:]
-        if not np.array_equal(self.matmul(proj, reps), self.identity(dim)):
+        n, m = B.shape
+        # rref [B | I_n] = E [B | I_n]: pivots past B pick the e_j completing
+        # a basis of span(B), and the rows of E holding them project
+        R, pivots = self.rref(np.hstack([B, self.identity(n)]))
+        nb = sum(c < m for c in pivots)
+        chosen = [c - m for c in pivots[nb:]]
+        proj = R[nb:, m:]
+        if not np.array_equal(proj[:, chosen], self.identity(len(chosen))):
             raise ValueError("projection does not invert the representatives")
-        if B.shape[1] and self.matmul(proj, B).any():
+        if m and self.matmul(proj, B).any():
             raise ValueError("projection does not kill span(B)")
-        return QuotientMap(dim, proj, reps)
+        return chosen, proj

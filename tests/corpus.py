@@ -3,9 +3,10 @@
 Every builder returns a ConstructibleRSpace.  The expected homology and
 diagrams quoted in the tests were worked out by hand from these models (the
 derivations are sketched next to each builder); nothing here is computed by
-the code under test.  The helpers at the end refine a space at regular
-values, re-parametrize it, flip its coordinate, and count the Euler
-characteristic of a chain complex.
+the code under test.  constant_doc writes a fiber held constant as a CLI
+input document.  The helpers at the end refine a space at regular values,
+re-parametrize it, flip its coordinate, and count the Euler characteristic
+of a chain complex.
 """
 
 from __future__ import annotations
@@ -208,6 +209,20 @@ def fig4_space(kind: str, field=F2) -> ConstructibleRSpace:
     else:
         raise ValueError(kind)
     return ConstructibleRSpace((0.0, 0.5, 2.5, 3.0), verts, edges, lmaps, rmaps, field)
+
+
+# RP^2, six-vertex triangulation: H_1 = H_2 = F_2 in characteristic 2, and
+# both vanish in odd characteristic
+RP2 = [(1, 2, 3), (1, 3, 4), (1, 4, 5), (1, 5, 6), (1, 2, 6),
+       (2, 3, 5), (2, 4, 5), (2, 4, 6), (3, 4, 6), (3, 5, 6)]
+
+
+def constant_doc(simplices, characteristic: int) -> dict:
+    """JSON input document of one fiber held constant over [0, 1]."""
+    ident = {str(v): v for v in sorted({v for s in simplices for v in s})}
+    return {"characteristic": characteristic, "critical_values": [0, 1],
+            "vertex_complexes": [simplices, simplices], "edge_complexes": [simplices],
+            "left_maps": [ident], "right_maps": [ident]}
 
 
 def random_space(rng: random.Random, field=F2, max_values: int = 6,

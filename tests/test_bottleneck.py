@@ -15,6 +15,7 @@ from paramhom.bottleneck import (
     stability_report,
 )
 from paramhom.diagrams import BehaviorType
+from paramhom.fieldlin import PrimeField
 
 import corpus
 from corpus import with_critical_values
@@ -163,3 +164,14 @@ class TestStability:
     def test_mismatched_combinatorics_rejected(self):
         with pytest.raises(ValueError):
             stability_report(corpus.circle(), corpus.v_shape())
+
+    def test_different_fields_rejected(self):
+        # the circle has the same diagrams over F_2 and F_3, yet the two
+        # spaces are not one space with moved values
+        with pytest.raises(ValueError, match="field"):
+            stability_report(corpus.circle(), corpus.circle(PrimeField(3)))
+
+    @pytest.mark.parametrize("tolerance", [math.nan, -1.0])
+    def test_bad_tolerance_rejected(self, tolerance):
+        with pytest.raises(ValueError, match="tolerance"):
+            stability_report(corpus.circle(), corpus.circle(), tolerance=tolerance)

@@ -8,6 +8,8 @@ import pytest
 import paramhom.cli as cli
 from paramhom.cli import main
 
+import corpus
+
 CIRCLE = {
     "critical_values": [0, 1],
     "vertex_complexes": [[[0]], [[0]]],
@@ -172,6 +174,22 @@ class TestStability:
         assert main(["stability", circle_path, other]) == 2
         capsys.readouterr()
 
+    def test_different_fields_exit_2(self, tmp_path, capsys):
+        # RP^2 has H_1 over F_2 only: without the field check this read
+        # as a failed stability bound (exit 1)
+        a = write_doc(tmp_path, "a.json", corpus.constant_doc(corpus.RP2, 2))
+        b = write_doc(tmp_path, "b.json", corpus.constant_doc(corpus.RP2, 3))
+        assert main(["stability", a, b]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "field" in err
+
+    @pytest.mark.parametrize("tolerance", ["nan", "-1"])
+    def test_bad_tolerance_exit_2(self, circle_path, capsys, tolerance):
+        assert main(["stability", circle_path, circle_path,
+                     f"--tolerance={tolerance}"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "tolerance" in err
+
 
 class TestExtended:
     def test_essential_pair(self, circle_path, capsys):
@@ -197,6 +215,12 @@ class TestValidate:
         path = write_doc(tmp_path, "t.json", TWO_COMPONENT)
         assert main(["validate", path, "--samples", "4"]) == 0
         capsys.readouterr()
+
+    @pytest.mark.parametrize("samples", ["0", "-3"])
+    def test_nonpositive_samples_exit_2(self, circle_path, capsys, samples):
+        assert main(["validate", circle_path, f"--samples={samples}"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "--samples" in err
 
 
 class TestPlot:

@@ -68,6 +68,17 @@ def test_homology_projection_contract():
     assert np.array_equal(F5.matmul(h.projection, h.representatives), F5.identity(1))
 
 
+def test_homology_rejects_a_cycle_basis_off_rref_form(monkeypatch):
+    # homology reads cycles at the free rows of the rref kernel basis; a
+    # basis that is not the identity there must be refused, not misread
+    C = chain_complex(SimplicialComplex(TRIANGLE_BOUNDARY), F5)
+    kernel = PrimeField.kernel_basis
+    monkeypatch.setattr(PrimeField, "kernel_basis",
+                        lambda self, M: 2 * kernel(self, M) % self.p)
+    with pytest.raises(ValueError, match="free rows"):
+        homology(C, 1)
+
+
 def test_induced_chain_map_identity_and_collapse():
     circle = SimplicialComplex(TRIANGLE_BOUNDARY)
     point = SimplicialComplex([(9,)])
@@ -243,6 +254,10 @@ def test_checks_survive_optimized_mode():
          "{1: [[1]], 2: [[1]]})", "ValueError: d o d != 0"),
         ("C = chain_complex(SimplicialComplex([(0,)]), PrimeField(2)); "
          "telescope([C, C], [])", "ValueError: 2 nodes need 1 edges"),
+        ("from paramhom.complexes import homology; "
+         "PrimeField.kernel_basis = lambda self, M: 2 * self.identity(M.shape[1]); "
+         "homology(chain_complex(SimplicialComplex([(0,)]), PrimeField(3)), 0)",
+         "ValueError: cycle basis is not the identity"),
     ]
     src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
     for code, message in cases:

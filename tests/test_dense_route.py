@@ -1,12 +1,13 @@
 """Homology maps by column indices against the dense route.
 
-The library computes each homology group with one elimination and every
-coordinate chain map (slice end-fiber inclusions, the seven extended-module
-arrows) as a list of column indices.  Here the same matrices are rebuilt
-the dense way: homology through an inverted basis extension, coordinate maps
-as commutation-checked 0/1 chain maps multiplied out.  The arrows of the
-levelset zigzag, the rectangle modules and the extended modules must come
-out byte for byte the same, on every corpus space in three characteristics.
+The library computes each homology group in the coordinates of its cycle
+basis and every coordinate chain map (slice end-fiber inclusions, the seven
+extended-module arrows) as a list of column indices.  Here the same matrices
+are rebuilt the dense way: homology through an inverted basis extension,
+coordinate maps as commutation-checked 0/1 chain maps multiplied out.  The
+arrows of the levelset zigzag, the rectangle modules and the extended
+modules must come out byte for byte the same, on every corpus space and a
+few more random ones, in three characteristics.
 """
 
 import math
@@ -26,7 +27,19 @@ import corpus
 from oracles import dense_coordinate_map, dense_homology
 
 PRIMES = (2, 3, 33554393)
-CASES = [(p, name) for p in PRIMES for name in corpus.corpus(PrimeField(2))]
+
+
+def _spaces(field) -> dict:
+    """The corpus plus four larger random spaces."""
+    spaces = corpus.corpus(field)
+    rng = random.Random(20261018)
+    for i in range(4):
+        spaces[f"extra_{i}"] = corpus.random_space(rng, field, max_gap_vertices=6,
+                                                   extra_edges=4)
+    return spaces
+
+
+CASES = [(p, name) for p in PRIMES for name in _spaces(PrimeField(2))]
 
 
 def _assert_same(got: np.ndarray, want: np.ndarray) -> None:
@@ -89,7 +102,7 @@ def _probe_points(vals) -> list[float]:
 
 @pytest.mark.parametrize("p,name", CASES)
 def test_index_maps_match_dense_route(p, name):
-    X = corpus.corpus(PrimeField(p))[name]
+    X = _spaces(PrimeField(p))[name]
     degrees = range(max(X.max_piece_dimension(), 0) + 2)
     cache: dict = {}
     pts = _probe_points(X.critical_values)

@@ -1,7 +1,8 @@
 """Malformed input never escapes as a traceback.
 
 parse_space and parse_diagram either return or raise InputError, and the
-CLI answers any input file with exit 0, 1 or 2.
+CLI answers any input file, rectangle or numeric option with exit 0, 1 or
+2.
 """
 
 import contextlib
@@ -15,6 +16,8 @@ from hypothesis import strategies as st
 
 from paramhom.cli import main
 from paramhom.io import InputError, parse_diagram, parse_space
+
+from corpus import RP2, constant_doc
 
 CIRCLE = {
     "critical_values": [0, 1],
@@ -54,6 +57,10 @@ def near_valid(draw, valid: dict, extra_keys: list[str]) -> dict:
 
 space_docs = near_valid(CIRCLE, ["characteristic", "max_dim"]) | json_values
 entry_docs = (st.lists(near_valid(ENTRY, []) | json_values, max_size=3) | json_values)
+corners = (st.sampled_from(["0", "1", "-1", "0.5", "2", "inf", "-inf", "nan", "x", ""])
+           | st.floats().map(repr))
+rects = st.lists(corners, min_size=3, max_size=5).map(",".join) | st.text(max_size=8)
+numbers = st.sampled_from(["0", "-1", "nan", "inf", "-inf", "1e-9", "x"]) | st.floats().map(repr)
 
 
 def _outcome(parse, doc) -> None:
@@ -72,7 +79,10 @@ def _exit_code(command: str, docs: list, options: list[str] = []) -> int:
                 json.dump(doc, fh)
         with contextlib.redirect_stdout(io.StringIO()), \
                 contextlib.redirect_stderr(io.StringIO()):
-            return main([command, *paths, *options])
+            try:
+                return main([command, *paths, *options])
+            except SystemExit as e:  # argparse refuses an option value
+                return e.code
 
 
 @settings(max_examples=300, deadline=None)
@@ -99,6 +109,23 @@ def test_cli_exit_codes(space, entries):
     assert _exit_code("plot", [entries]) in (0, 1, 2)
     assert _exit_code("bottleneck", [entries, [ENTRY]],
                       ["--dim", "0", "--type", "cc"]) in (0, 1, 2)
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(space_docs, space_docs, rects, numbers, st.sampled_from(["1", "0", "-3"]))
+@example(constant_doc(RP2, 2), constant_doc(RP2, 3), "-1,0,1,2", "1e-9", "1")
+@example(CIRCLE, CIRCLE, "-1,0,1,2", "nan", "0")
+def test_cli_subcommand_exit_codes(space, other, rect, tolerance, samples):
+    for command, options in (("measure", ["--type", "cc", "--dim", "0"]),
+                             ("extended", ["--type", "ext+", "--dim", "0"])):
+        assert _exit_code(command, [space], [*options, f"--rect={rect}"]) in (0, 1, 2)
+    assert _exit_code("stability", [space, other],
+                      [f"--tolerance={tolerance}"]) in (0, 1, 2)
+    # a space is always within any valid tolerance of itself
+    assert _exit_code("stability", [space, space],
+                      [f"--tolerance={tolerance}"]) in (0, 2)
+    assert _exit_code("validate", [space], [f"--samples={samples}"]) in (0, 1, 2)
 
 
 def test_unreadable_documents_exit_2(tmp_path):
