@@ -48,13 +48,21 @@ class CheckResult:
 
 def random_rectangle(rng: random.Random, critical_values: Sequence[float],
                      regular: bool = False) -> Rectangle:
-    """A rectangle with corners near and between the critical values."""
+    """A rectangle with corners near and between the critical values.
+
+    Raises ValueError when the candidate corners round to fewer than four
+    distinct floats, as for large or crowded critical values.
+    """
     vals = sorted(critical_values)
     pool = [vals[0] - 0.75, vals[0] - 0.25, vals[-1] + 0.25, vals[-1] + 0.75]
     for lo, hi in zip(vals, vals[1:]):
         pool.extend(lo + f * (hi - lo) for f in (0.25, 0.5, 0.75))
     if not regular:
         pool.extend(vals)
+    pool = list(dict.fromkeys(pool))
+    if len(pool) < 4:
+        raise ValueError(f"critical values {vals} leave only {len(pool)} distinct "
+                         "rectangle corners, 4 needed")
     while True:
         corners = sorted(rng.sample(pool, 4))
         if rng.random() < 0.2:
@@ -64,6 +72,16 @@ def random_rectangle(rng: random.Random, critical_values: Sequence[float],
         a, b, c, d = corners
         if a < b < c < d:
             return Rectangle(a, b, c, d)
+
+
+def _split_point(lo: float, hi: float) -> float | None:
+    """The midpoint of (lo, hi), or 1 in from the finite end if one is
+    infinite, or else a float next to an end; None if none is inside."""
+    for x in ((lo + hi) / 2, hi - 1.0, lo + 1.0,
+              math.nextafter(hi, lo), math.nextafter(lo, hi)):
+        if lo < x < hi:
+            return x
+    return None
 
 
 def _dims(X: ConstructibleRSpace) -> range:
@@ -79,13 +97,14 @@ def additivity_suite(X: ConstructibleRSpace, rng: random.Random,
     for i in range(samples):
         R = random_rectangle(rng, X.critical_values)
         k = i % len(_dims(X))
-        x = (R.a + R.b) / 2 if math.isfinite(R.a) else R.b - 1.0
-        y = (R.c + R.d) / 2 if math.isfinite(R.d) else R.c + 1.0
+        splits = []
+        if (x := _split_point(R.a, R.b)) is not None:
+            splits.append((f"p={x}", (Rectangle(R.a, x, R.c, R.d), Rectangle(x, R.b, R.c, R.d))))
+        if (y := _split_point(R.c, R.d)) is not None:
+            splits.append((f"q={y}", (Rectangle(R.a, R.b, R.c, y), Rectangle(R.a, R.b, y, R.d))))
         for t in BehaviorType:
             whole = fn(X, k, t, R)
-            for split, parts in (
-                    (f"p={x}", (Rectangle(R.a, x, R.c, R.d), Rectangle(x, R.b, R.c, R.d))),
-                    (f"q={y}", (Rectangle(R.a, R.b, R.c, y), Rectangle(R.a, R.b, y, R.d)))):
+            for split, parts in splits:
                 total = sum(fn(X, k, t, part) for part in parts)
                 checked += 1
                 if total != whole:

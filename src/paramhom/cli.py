@@ -127,7 +127,10 @@ def cmd_validate(args) -> int:
         raise InputError("--samples must be at least 1")
     X, _ = load_space(args.input)
     rng = random.Random(args.seed)
-    results = run_all(X, rng, samples=args.samples)
+    try:
+        results = run_all(X, rng, samples=args.samples)
+    except ValueError as e:  # too few distinct rectangle corners
+        raise InputError(str(e)) from e
     ok = True
     for r in results:
         ok = ok and r.passed

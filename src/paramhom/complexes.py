@@ -4,6 +4,12 @@ Chain complexes here are finite, based, non-negatively graded: each degree
 has an ordered basis of labels and an integer boundary matrix.  Basis order
 is always the deterministic label order fixed at construction, so induced
 matrices are reproducible across runs.
+
+Every chain map built here sends each basis cell to a multiple of one cell
+or to 0, so it is a column map: per degree, integer arrays (columns,
+coefficients) over the source basis, sending source column j to
+coefficients[j] times target column columns[j], or to 0 where columns[j]
+is -1.
 """
 
 from __future__ import annotations
@@ -16,16 +22,17 @@ import numpy as np
 
 from .fieldlin import PrimeField
 
+# degree -> (columns, coefficients), as described above
+ColumnMap = dict[int, tuple[np.ndarray, np.ndarray]]
+
 __all__ = [
     "SimplicialComplex",
     "ChainComplex",
-    "ChainMap",
     "HomologyBasis",
     "chain_complex",
     "induced_chain_map",
     "homology",
     "induced_homology_map",
-    "coordinate_homology_map",
     "telescope",
     "subcomplex",
     "quotient_complex",
@@ -126,40 +133,6 @@ class ChainComplex:
         return f"ChainComplex(F{self.field.p}, dims={dims})"
 
 
-class ChainMap:
-    """Degreewise matrices commuting with the boundaries (checked)."""
-
-    def __init__(self, src: ChainComplex, tgt: ChainComplex,
-                 matrices: dict[int, np.ndarray]):
-        if src.field != tgt.field:
-            raise ValueError("chain map between different fields")
-        self.src = src
-        self.tgt = tgt
-        self.field = src.field
-        self.matrices = {}
-        for k, M in matrices.items():
-            M = self.field.normalize(M)
-            if M.shape != (tgt.dim(k), src.dim(k)):
-                raise ValueError(f"chain map matrix {k} has shape {M.shape}")
-            if M.size:
-                self.matrices[k] = M
-        for k in set(src.degrees()) | set(tgt.degrees()):
-            lhs = self.field.matmul(tgt.boundary(k), self.matrix(k))
-            rhs = self.field.matmul(self.matrix(k - 1), src.boundary(k))
-            if not np.array_equal(lhs, rhs):
-                raise ValueError(f"chain map fails to commute at degree {k}")
-
-    def matrix(self, k: int) -> np.ndarray:
-        M = self.matrices.get(k)
-        if M is None:
-            return self.field.zeros(self.tgt.dim(k), self.src.dim(k))
-        return M
-
-    @staticmethod
-    def identity(C: ChainComplex) -> "ChainMap":
-        return ChainMap(C, C, {k: C.field.identity(C.dim(k)) for k in C.degrees()})
-
-
 def chain_complex(S: SimplicialComplex, field: PrimeField) -> ChainComplex:
     """Simplicial chain complex with basis the sorted simplices.
 
@@ -195,34 +168,50 @@ def _sorted_with_sign(verts: tuple) -> tuple[tuple, int]:
 
 
 def induced_chain_map(vmap: Mapping, src: SimplicialComplex, tgt: SimplicialComplex,
-                      src_chain: ChainComplex, tgt_chain: ChainComplex) -> ChainMap:
-    """Chain map induced by a vertex map; degenerate images map to 0.
+                      src_chain: ChainComplex, tgt_chain: ChainComplex) -> ColumnMap:
+    """Column map of the chain map induced by a vertex map.
 
-    src_chain and tgt_chain are the chain complexes of src and tgt.
+    src_chain and tgt_chain are the chain complexes of src and tgt.  A
+    simplex goes to its image with the sign of the sorting permutation, or
+    to 0 when the image is degenerate.
 
     Raises:
-        ValueError: if the vertex map is undefined on a vertex of src or the
-            image of some simplex is not a simplex of tgt.
+        ValueError: if the vertex map is undefined on a vertex of src, the
+            image of some simplex is not a simplex of tgt, or the result
+            fails to commute with the boundaries.
     """
-    fld = src_chain.field
+    p = src_chain.field.p
     tgt_index = {k: {s: i for i, s in enumerate(v)} for k, v in tgt.simplices.items()}
-    matrices = {}
+    f: ColumnMap = {}
     for k, simps in src.simplices.items():
-        M = fld.zeros(tgt_chain.dim(k), len(simps))
-        for j, s in enumerate(simps):
+        cols, coefs = [], []
+        for s in simps:
             try:
                 image = tuple(vmap[v] for v in s)
             except KeyError as e:
                 raise ValueError(f"vertex map undefined on {e.args[0]!r}") from None
-            if len(set(image)) < len(image):
-                continue  # degenerate: zero in the chain map
-            sorted_img, sign = _sorted_with_sign(image)
-            row = tgt_index.get(len(sorted_img) - 1, {}).get(sorted_img)
-            if row is None:
-                raise ValueError(f"image {sorted_img!r} of {s!r} is not a simplex of the target")
-            M[row, j] = sign % fld.p
-        matrices[k] = M
-    return ChainMap(src_chain, tgt_chain, matrices)
+            col, sign = -1, 0  # a degenerate image is zero in the chain map
+            if len(set(image)) == len(image):
+                sorted_img, sign = _sorted_with_sign(image)
+                col = tgt_index.get(len(sorted_img) - 1, {}).get(sorted_img)
+                if col is None:
+                    raise ValueError(f"image {sorted_img!r} of {s!r} is not a simplex of the target")
+            cols.append(col)
+            coefs.append(sign % p)
+        f[k] = (np.array(cols, dtype=np.int64), np.array(coefs, dtype=np.int64))
+    for k in src_chain.degrees()[1:]:  # every degree above the vertices
+        # d f = f d, both sides as tgt.dim(k-1) x src.dim(k) matrices
+        lhs = np.zeros((tgt_chain.dim(k - 1), src_chain.dim(k)), dtype=np.int64)
+        rhs = lhs.copy()
+        cols, coefs = f[k]
+        kept = cols >= 0
+        lhs[:, kept] = tgt_chain.boundary(k)[:, cols[kept]] * coefs[kept] % p
+        cols, coefs = f[k - 1]
+        kept = cols >= 0
+        np.add.at(rhs, cols[kept], src_chain.boundary(k)[kept] * coefs[kept, None] % p)
+        if not np.array_equal(lhs, rhs % p):
+            raise ValueError(f"chain map fails to commute at degree {k}")
+    return f
 
 
 class HomologyBasis:
@@ -271,47 +260,42 @@ def homology(C: ChainComplex, k: int) -> HomologyBasis:
     return HomologyBasis(C, k, Z[:, chosen], projection)
 
 
-def induced_homology_map(f: ChainMap, src_h: HomologyBasis,
-                         tgt_h: HomologyBasis) -> np.ndarray:
-    """Matrix of H_k(f) with respect to the two given bases."""
-    if src_h.k != tgt_h.k:
-        raise ValueError(f"homology degrees differ: {src_h.k} and {tgt_h.k}")
-    field = f.field
-    pushed = field.matmul(f.matrix(src_h.k), src_h.representatives)
-    return field.matmul(tgt_h.projection, pushed)
+def induced_homology_map(src_h: HomologyBasis, tgt_h: HomologyBasis,
+                         columns: Sequence[int],
+                         coefficients: Sequence[int] | None = None) -> np.ndarray:
+    """Matrix of H_k of a column chain map, with respect to the two bases.
 
-
-def coordinate_homology_map(src_h: HomologyBasis, tgt_h: HomologyBasis,
-                            columns: Sequence[int]) -> np.ndarray:
-    """Matrix of H_k of a coordinate chain map, with respect to the two bases.
-
-    The chain map sends basis column j of the source to basis column
-    columns[j] of the target, or to 0 where columns[j] is -1.
+    The chain map sends basis column j of the source to coefficients[j]
+    times basis column columns[j] of the target, or to 0 where columns[j]
+    is -1; with no coefficients given, every coefficient is 1.
     """
     if src_h.k != tgt_h.k:
         raise ValueError(f"homology degrees differ: {src_h.k} and {tgt_h.k}")
+    field = src_h.complex.field
     cols = np.asarray(columns, dtype=np.int64)
     if len(cols) != src_h.complex.dim(src_h.k):
         raise ValueError(f"{len(cols)} columns for a source of dimension "
                          f"{src_h.complex.dim(src_h.k)}")
     kept = cols >= 0
-    return src_h.complex.field.matmul(tgt_h.projection[:, cols[kept]],
-                                      src_h.representatives[kept])
+    proj = tgt_h.projection[:, cols[kept]]
+    if coefficients is not None:
+        proj = proj * np.asarray(coefficients, dtype=np.int64)[kept] % field.p
+    return field.matmul(proj, src_h.representatives[kept])
 
 
 def telescope(nodes: Sequence[ChainComplex],
-              edges: Sequence[tuple[ChainComplex, ChainMap, ChainMap]]) -> ChainComplex:
+              edges: Sequence[tuple[ChainComplex, ColumnMap, ColumnMap]]) -> ChainComplex:
     """Mapping telescope of V_0 <- E_0 -> V_1 <- E_1 -> ... -> V_n.
 
-    Each edge is (E, l, r) with chain maps l: E -> V_t and r: E -> V_{t+1}.
+    Each edge is (E, l, r) with column maps l: E -> V_t and r: E -> V_{t+1}.
     Edge generators enter with degree shifted up by one; the differential of
     a shifted generator e is (r(e) - l(e)) - shift(de), which squares to zero
     because r - l is a chain map.
 
     Labels are ("v", t, lbl) for generators of node t and ("e", t, lbl) for
     the shifted generators of edge t.  In each degree the node blocks come
-    first, in node order, so node t includes as the coordinate columns after
-    the dimensions of nodes 0..t-1.
+    first, in node order, then the edge blocks, so node t includes as the
+    coordinate columns after the dimensions of nodes 0..t-1.
     """
     if not nodes:
         raise ValueError("telescope needs at least one node")
@@ -320,53 +304,32 @@ def telescope(nodes: Sequence[ChainComplex],
     field = nodes[0].field
     if any(V.field != field for V in nodes) or any(E.field != field for E, _, _ in edges):
         raise ValueError("telescope pieces over different fields")
-    degs = set()
-    for V in nodes:
-        degs.update(V.degrees())
-    for E, _, _ in edges:
-        degs.update(k + 1 for k in E.degrees())
-    top = max(degs, default=-1)
+    top = max([V.top_degree for V in nodes] + [E.top_degree + 1 for E, _, _ in edges])
 
+    n, p = len(nodes), field.p
     labels: dict[int, list] = {}
-    col_of: dict[tuple, int] = {}
+    start: dict[int, list[int]] = {}  # first column of each block, per degree
     for k in range(top + 1):
-        lab = []
-        for t, V in enumerate(nodes):
-            lab.extend(("v", t, x) for x in V.labels.get(k, []))
-        for t, (E, _, _) in enumerate(edges):
-            lab.extend(("e", t, x) for x in E.labels.get(k - 1, []))
-        labels[k] = lab
-        for i, x in enumerate(lab):
-            col_of[(k, *x[:2], x[2])] = i
-
-    def node_offset(k: int, t: int) -> int:
-        return sum(nodes[s].dim(k) for s in range(t))
+        blocks = ([("v", t, V.labels.get(k, [])) for t, V in enumerate(nodes)]
+                  + [("e", t, E.labels.get(k - 1, [])) for t, (E, _, _) in enumerate(edges)])
+        labels[k] = [(tag, t, x) for tag, t, xs in blocks for x in xs]
+        start[k] = list(itertools.accumulate((len(xs) for _, _, xs in blocks), initial=0))
 
     boundaries = {}
     for k in range(1, top + 1):
-        M = field.zeros(len(labels.get(k - 1, [])), len(labels.get(k, [])))
-        col = 0
+        M = field.zeros(len(labels[k - 1]), len(labels[k]))
+        rows, cols = start[k - 1], start[k]
         for t, V in enumerate(nodes):
-            d = V.boundary(k)
-            if V.dim(k):
-                off = node_offset(k - 1, t)
-                M[off:off + V.dim(k - 1), col:col + V.dim(k)] = d
-                col += V.dim(k)
+            M[rows[t]:rows[t + 1], cols[t]:cols[t + 1]] = V.boundary(k)
         for t, (E, l, r) in enumerate(edges):
-            ek = k - 1  # edge generators of this telescope degree
-            if not E.dim(ek):
+            if not E.dim(k - 1):
                 continue
-            off_l = node_offset(k - 1, t)
-            off_r = node_offset(k - 1, t + 1)
-            lm, rm = l.matrix(ek), r.matrix(ek)
-            M[off_l:off_l + nodes[t].dim(k - 1), col:col + E.dim(ek)] = (-lm) % field.p
-            M[off_r:off_r + nodes[t + 1].dim(k - 1), col:col + E.dim(ek)] += rm
-            M[off_r:off_r + nodes[t + 1].dim(k - 1), col:col + E.dim(ek)] %= field.p
-            if E.dim(ek - 1):
-                # locate this edge's shifted block in degree k-1
-                row0 = col_of[(k - 1, "e", t, E.labels[ek - 1][0])]
-                M[row0:row0 + E.dim(ek - 1), col:col + E.dim(ek)] = (-E.boundary(ek)) % field.p
-            col += E.dim(ek)
+            col0 = cols[n + t]
+            for f, node, sign in ((l, t, -1), (r, t + 1, 1)):
+                tgt, coefs = f[k - 1]
+                kept = np.flatnonzero(tgt >= 0)
+                M[rows[node] + tgt[kept], col0 + kept] = sign * coefs[kept] % p
+            M[rows[n + t]:rows[n + t + 1], col0:cols[n + t + 1]] = -E.boundary(k - 1) % p
         boundaries[k] = M
 
     return ChainComplex(field, labels, boundaries)

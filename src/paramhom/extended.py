@@ -35,7 +35,7 @@ from __future__ import annotations
 from enum import Enum
 from typing import Mapping
 
-from .complexes import (ChainComplex, coordinate_homology_map, homology,
+from .complexes import (ChainComplex, homology, induced_homology_map,
                         quotient_complex, subcomplex, telescope)
 from .diagrams import BehaviorType, DecoratedDiagram, Rectangle
 from .levelset import all_diagrams
@@ -129,7 +129,7 @@ def extended_module(X: ConstructibleRSpace, k: int, R: Rectangle) -> ZigzagModul
     for (_, src), (_, tgt), h_src, h_tgt in zip(pieces, pieces[1:], bases, bases[1:]):
         position = {c: j for j, c in enumerate(tgt.get(k, []))}
         columns = [position.get(c, -1) for c in src.get(k, [])]
-        arrows.append((FORWARD, coordinate_homology_map(h_src, h_tgt, columns)))
+        arrows.append((FORWARD, induced_homology_map(h_src, h_tgt, columns)))
     annotations = tuple([("sub", t) for t in corners]
                         + [("rel", t) for t in reversed(corners)])
     return ZigzagModule(X.field, [h.rank for h in bases], arrows, annotations)

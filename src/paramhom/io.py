@@ -7,10 +7,11 @@ integer vertex ids and may list only maximal faces; closure is taken on
 load.  A diagram document is a flat list of entries, one per diagram point,
 sorted by (dim, type, birth, death).
 
-Real values serialize as plain JSON numbers with up to 12 significant
-digits, integers without a decimal point, and the two infinities as the
-strings "-inf" and "inf".  Loading a serialized document reproduces it
-field for field.
+Real values serialize as plain JSON numbers, integers without a decimal
+point and other values as the shortest decimal that reads back to the
+same float, and the two infinities as the strings "-inf" and "inf".
+Loading a serialized document reproduces it field for field, values
+exactly.
 """
 
 from __future__ import annotations
@@ -53,8 +54,8 @@ def format_real(v: float):
         return "inf"
     if v == -math.inf:
         return "-inf"
-    r = float(f"{v:.12g}")
-    return int(r) if r.is_integer() else r
+    v = float(v)
+    return int(v) if v.is_integer() else v
 
 
 def parse_real(v) -> float:

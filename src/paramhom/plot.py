@@ -28,15 +28,19 @@ def _fmt(v: float) -> str:
     return f"{v:.2f}".rstrip("0").rstrip(".")
 
 
+def _clamp(v: float) -> float:
+    """v clamped to [-1e307, 1e307], so every difference taken stays finite."""
+    return min(max(v, -1e307), 1e307)
+
+
 def _value_range(entries) -> tuple[float, float]:
-    finite = [parse_real(e[key]) for e in entries for key in ("birth", "death")
+    """Bounds lo < hi of the finite values, padded, with hi - lo finite."""
+    finite = [_clamp(parse_real(e[key])) for e in entries for key in ("birth", "death")
               if math.isfinite(parse_real(e[key]))]
     if not finite:
         return 0.0, 1.0
     lo, hi = min(finite), max(finite)
-    if lo == hi:
-        return lo - 0.5, hi + 0.5
-    pad = 0.08 * (hi - lo)
+    pad = 0.08 * (hi - lo) if lo < hi else max(0.5, math.ulp(lo))
     return lo - pad, hi + pad
 
 
@@ -48,12 +52,12 @@ def render_svg(entries: list[dict]) -> str:
     def sx(v: float) -> float:
         if v == -math.inf:
             return MARGIN + GUTTER / 2
-        return MARGIN + GUTTER + (v - lo) / (hi - lo) * span
+        return MARGIN + GUTTER + (_clamp(v) - lo) / (hi - lo) * span
 
     def sy(v: float) -> float:
         if v == math.inf:
             return MARGIN + GUTTER / 2
-        return SIZE - MARGIN - (v - lo) / (hi - lo) * span
+        return SIZE - MARGIN - (_clamp(v) - lo) / (hi - lo) * span
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{SIZE}" height="{SIZE}" '

@@ -5,6 +5,8 @@ value a_i, a simplicial fiber E_i over each open gap (a_i, a_{i+1}), and
 vertex maps l_i: E_i -> V_i, r_i: E_i -> V_{i+1} describing how the regular
 fiber collapses onto the critical ones.  Every levelset and every slice
 f^{-1}[p, q] is derived from this data; slices are mapping telescopes.
+The chain maps of l_i and r_i are column maps (see complexes), read by
+the telescopes and by the attachment homology maps.
 
 Slices with the same combinatorial plan (same run of pieces, same kind of
 end behaviour) are isomorphic, so homology is cached per plan, not per
@@ -22,11 +24,10 @@ import numpy as np
 
 from .complexes import (
     ChainComplex,
-    ChainMap,
+    ColumnMap,
     HomologyBasis,
     SimplicialComplex,
     chain_complex,
-    coordinate_homology_map,
     homology,
     induced_chain_map,
     induced_homology_map,
@@ -39,6 +40,12 @@ __all__ = [
     "SlicePlan",
     "SliceResult",
 ]
+
+
+def _identity(C: ChainComplex) -> ColumnMap:
+    """The identity chain map of C as a column map."""
+    return {k: (np.arange(C.dim(k)), np.ones(C.dim(k), dtype=np.int64))
+            for k in C.degrees()}
 
 
 @dataclass(frozen=True)
@@ -158,8 +165,8 @@ class ConstructibleRSpace:
     def levelset(self, t: float) -> SimplicialComplex:
         return self.piece(self._piece_key(t))
 
-    def edge_chain_maps(self, i: int) -> tuple[ChainMap, ChainMap]:
-        """Induced chain maps l_i: E_i -> V_i and r_i: E_i -> V_{i+1}."""
+    def edge_chain_maps(self, i: int) -> tuple[ColumnMap, ColumnMap]:
+        """Column maps of the induced l_i: E_i -> V_i and r_i: E_i -> V_{i+1}."""
         if i not in self._edge_maps:
             E = self.edge_complexes[i]
             CE = self.piece_chain(("E", i))
@@ -218,12 +225,12 @@ class ConstructibleRSpace:
                 # free gap fiber kept as the left end; connects to V_{i+1}
                 E = self.piece_chain(a)
                 _, rm = self.edge_chain_maps(a[1])
-                edges.append((E, ChainMap.identity(E), rm))
+                edges.append((E, _identity(E), rm))
             else:
                 # V then free gap fiber on the right; connects via l
                 E = self.piece_chain(b)
                 lm, _ = self.edge_chain_maps(b[1])
-                edges.append((E, lm, ChainMap.identity(E)))
+                edges.append((E, lm, _identity(E)))
         return SliceResult(telescope(node_chains, edges), plan)
 
     # -- homology with plan-level caching ---------------------------------------
@@ -249,7 +256,7 @@ class ConstructibleRSpace:
                 tgt, f = self.piece_homology(("V", i + 1), k), rm
             else:
                 raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-            self._homology[key] = induced_homology_map(f, src, tgt)
+            self._homology[key] = induced_homology_map(src, tgt, *f.get(k, ((), ())))
         return self._homology[key]
 
     def slice_homology(self, p: float, q: float, k: int
@@ -266,7 +273,7 @@ class ConstructibleRSpace:
             off = sum(dims[:-1])
             at_q = (range(off, off + dims[-1])
                     if plan.nodes and plan.fiber_q == plan.nodes[-1] else [])
-            mp = coordinate_homology_map(self.fiber_homology(p, k), h, at_p)
-            mq = coordinate_homology_map(self.fiber_homology(q, k), h, at_q)
+            mp = induced_homology_map(self.fiber_homology(p, k), h, at_p)
+            mq = induced_homology_map(self.fiber_homology(q, k), h, at_q)
             self._homology[key] = (h, mp, mq)
         return self._homology[key]

@@ -13,13 +13,16 @@ random basis changes.  None of them goes anywhere near the left-to-right
 pass of decompose().
 extract_diagram reads a diagram off any rectangle measure by probing, so
 the measure route can be compared with the levelset zigzag route.
-dense_homology and dense_coordinate_map are the dense route to homology
-maps: a basis extension inverted in full, and coordinate chain maps as
-commutation-checked 0/1 matrices multiplied out.
+dense_homology, ChainMap, dense_simplicial_map, dense_coordinate_map and
+dense_homology_map are the dense route to homology maps: a basis extension
+inverted in full, chain maps as commutation-checked matrices (simplicial
+maps with signs counted by inversions, coordinate maps as 0/1 blocks), and
+the two multiplied out.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from collections import Counter
@@ -27,7 +30,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from paramhom.complexes import ChainComplex, ChainMap, HomologyBasis
+from paramhom.complexes import ChainComplex, HomologyBasis
 from paramhom.diagrams import BehaviorType, DecoratedDiagram, DecoratedPoint, Rectangle
 from paramhom.fieldlin import PrimeField
 from paramhom.zigzag import FORWARD, DecompositionError, ZigzagModule
@@ -58,6 +61,62 @@ def dense_homology(C: ChainComplex, k: int) -> HomologyBasis:
     G = np.hstack([W, field.identity(n)[:, [c - W.shape[1] for c in piv if c >= W.shape[1]]]])
     proj = invert(field, G)[len(b_sel):len(b_sel) + reps.shape[1]]
     return HomologyBasis(C, k, reps, proj)
+
+
+class ChainMap:
+    """Degreewise dense matrices commuting with the boundaries (checked)."""
+
+    def __init__(self, src: ChainComplex, tgt: ChainComplex,
+                 matrices: dict[int, np.ndarray]):
+        if src.field != tgt.field:
+            raise ValueError("chain map between different fields")
+        self.src = src
+        self.tgt = tgt
+        self.field = src.field
+        self.matrices = {}
+        for k, M in matrices.items():
+            M = self.field.normalize(M)
+            if M.shape != (tgt.dim(k), src.dim(k)):
+                raise ValueError(f"chain map matrix {k} has shape {M.shape}")
+            self.matrices[k] = M
+        for k in set(src.degrees()) | set(tgt.degrees()):
+            lhs = self.field.matmul(tgt.boundary(k), self.matrix(k))
+            rhs = self.field.matmul(self.matrix(k - 1), src.boundary(k))
+            if not np.array_equal(lhs, rhs):
+                raise ValueError(f"chain map fails to commute at degree {k}")
+
+    def matrix(self, k: int) -> np.ndarray:
+        M = self.matrices.get(k)
+        if M is None:
+            return self.field.zeros(self.tgt.dim(k), self.src.dim(k))
+        return M
+
+
+def dense_simplicial_map(vmap, src: ChainComplex, tgt: ChainComplex) -> ChainMap:
+    """Chain map of a vertex map between two simplicial chain complexes.
+
+    The labels of both complexes are sorted vertex tuples.  A simplex goes
+    to the sorted image with sign (-1)^(inversions of the image), or to 0
+    when two of its vertices share an image.
+    """
+    mats = {}
+    for k in src.degrees():
+        row = {s: i for i, s in enumerate(tgt.labels.get(k, []))}
+        M = np.zeros((tgt.dim(k), src.dim(k)), dtype=np.int64)
+        for j, s in enumerate(src.labels[k]):
+            image = [vmap[v] for v in s]
+            if len(set(image)) == len(image):
+                inversions = sum(a > b for a, b in itertools.combinations(image, 2))
+                M[row[tuple(sorted(image))], j] = (-1) ** inversions
+        mats[k] = M
+    return ChainMap(src, tgt, mats)
+
+
+def dense_homology_map(f: ChainMap, src_h: HomologyBasis,
+                       tgt_h: HomologyBasis) -> np.ndarray:
+    """Matrix of H_k(f): the projection of the pushed representatives."""
+    pushed = f.field.matmul(f.matrix(src_h.k), src_h.representatives)
+    return f.field.matmul(tgt_h.projection, pushed)
 
 
 def coordinate_matrix(n: int, kept: Sequence[int]) -> np.ndarray:

@@ -28,6 +28,14 @@ TWO_COMPONENT = {
 }
 
 
+def point_doc(values: list) -> dict:
+    """A point over each critical value and each gap."""
+    n = len(values)
+    return {"critical_values": values, "vertex_complexes": [[[0]]] * n,
+            "edge_complexes": [[[0]]] * (n - 1), "left_maps": [{"0": 0}] * (n - 1),
+            "right_maps": [{"0": 0}] * (n - 1)}
+
+
 @pytest.fixture
 def circle_path(tmp_path):
     path = tmp_path / "circle.json"
@@ -216,6 +224,26 @@ class TestValidate:
         assert main(["validate", path, "--samples", "4"]) == 0
         capsys.readouterr()
 
+    @pytest.mark.parametrize("values", [[1e17], [1e17, 10 ** 17 + 16]])
+    def test_crowded_critical_values_exit_2_at_once(self, tmp_path, values):
+        # every candidate corner rounds onto at most two floats, so four
+        # distinct corners cannot be drawn; the draw used to loop forever
+        path = write_doc(tmp_path, "crowded.json", point_doc(values))
+        src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+        proc = subprocess.run([sys.executable, "-m", "paramhom.cli", "validate", path],
+                              capture_output=True, text=True, timeout=60,
+                              env=dict(os.environ, PYTHONPATH=src))
+        assert proc.returncode == 2
+        assert "distinct rectangle corners" in proc.stderr
+
+    def test_large_critical_values_split_inside(self, tmp_path, capsys):
+        # b - 1.0 == b and midpoints of float neighbours round onto an end:
+        # the additivity splits must still fall strictly inside each edge
+        path = write_doc(tmp_path, "large.json",
+                         point_doc([1e17, 10 ** 17 + 64, 10 ** 17 + 128]))
+        assert main(["validate", path, "--samples", "6"]) == 0
+        assert "PASS additivity" in capsys.readouterr().out
+
     @pytest.mark.parametrize("samples", ["0", "-3"])
     def test_nonpositive_samples_exit_2(self, circle_path, capsys, samples):
         assert main(["validate", circle_path, f"--samples={samples}"]) == 2
@@ -265,6 +293,17 @@ class TestPlot:
         svg = out.read_text()
         assert "mark" not in svg
         assert "<svg" in svg and "birth" in svg
+
+    def test_diagram_of_close_values_reads_back(self, tmp_path, capsys):
+        # the oo point (1, 1.0000000000001) printed as (1, 1), a width-zero
+        # feature that plot and bottleneck refused
+        path = write_doc(tmp_path, "close.json",
+                         dict(CIRCLE, critical_values=[1, 1.0000000000001]))
+        dgm = str(tmp_path / "d.json")
+        assert main(["diagram", path, "--out", dgm]) == 0
+        assert main(["plot", dgm, "--out", str(tmp_path / "d.svg")]) == 0
+        assert main(["bottleneck", dgm, dgm, "--dim", "0", "--type", "oo"]) == 0
+        assert capsys.readouterr().out == "0.000000000\n"
 
     def test_infinite_death_in_gutter(self, tmp_path, capsys):
         entries = [{"dim": 1, "type": "oo", "birth": 0, "death": "inf",

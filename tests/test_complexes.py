@@ -10,12 +10,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from paramhom import complexes
 from paramhom.complexes import (
     ChainComplex,
-    ChainMap,
     SimplicialComplex,
     chain_complex,
-    coordinate_homology_map,
     homology,
     induced_chain_map,
     induced_homology_map,
@@ -85,13 +84,15 @@ def test_induced_chain_map_identity_and_collapse():
     Cc, Cp = chain_complex(circle, F3), chain_complex(point, F3)
     ident = induced_chain_map({v: v for v in circle.vertices}, circle, circle, Cc, Cc)
     for k in (0, 1):
-        assert np.array_equal(ident.matrix(k), F3.identity(Cc.dim(k)))
+        cols, coefs = ident[k]
+        assert cols.tolist() == list(range(Cc.dim(k))) and coefs.tolist() == [1] * Cc.dim(k)
     collapse = induced_chain_map({0: 9, 1: 9, 2: 9}, circle, point, Cc, Cp)
     # degenerate edge images vanish
-    assert not collapse.matrix(1).any()
-    h1 = induced_homology_map(collapse, homology(Cc, 1), homology(Cp, 1))
+    assert collapse[1][0].tolist() == [-1, -1, -1]
+    assert collapse[0][0].tolist() == [0, 0, 0]
+    h1 = induced_homology_map(homology(Cc, 1), homology(Cp, 1), *collapse[1])
     assert h1.shape == (0, 1)
-    h0 = induced_homology_map(collapse, homology(Cc, 0), homology(Cp, 0))
+    h0 = induced_homology_map(homology(Cc, 0), homology(Cp, 0), *collapse[0])
     assert np.array_equal(h0, [[1]])
 
 
@@ -110,7 +111,13 @@ def test_orientation_signs_transpose_under_sorting():
     seg = SimplicialComplex([(0, 1)])
     C = chain_complex(seg, F3)
     swap = induced_chain_map({0: 1, 1: 0}, seg, seg, C, C)
-    assert np.array_equal(swap.matrix(1), [[2]])  # -1 mod 3
+    assert swap[1][0].tolist() == [0] and swap[1][1].tolist() == [2]  # -1 mod 3
+    # a reflection of the circle acts on H_1 by -1: the coefficients count
+    circle = SimplicialComplex(TRIANGLE_BOUNDARY)
+    Cc = chain_complex(circle, F3)
+    flip = induced_chain_map({0: 0, 1: 2, 2: 1}, circle, circle, Cc, Cc)
+    h1 = homology(Cc, 1)
+    assert np.array_equal(induced_homology_map(h1, h1, *flip[1]), [[2]])
 
 
 def test_relative_homology_of_interval_mod_endpoints():
@@ -161,6 +168,9 @@ def test_telescope_builds_a_circle(field):
     tel = _telescope_circle(field)
     assert homology(tel, 0).rank == 1
     assert homology(tel, 1).rank == 1
+    # the shifted edge generator a bounds r(a) - l(a)
+    e = tel.labels[1].index(("e", 0, ("a",)))
+    assert tel.boundary(1)[:, e].tolist() == [field.p - 1, 1]
     # each node includes as the coordinate block after the earlier nodes;
     # dense_coordinate_map builds a ChainMap, which checks commuting
     pt = chain_complex(SimplicialComplex([("p",)]), field)
@@ -236,14 +246,14 @@ def test_chain_complex_rejects_broken_boundary():
                      {1: [[1]], 2: [[1]]})
 
 
-def test_chain_map_rejects_non_commuting_matrices():
-    seg = chain_complex(SimplicialComplex([(0, 1)]), F3)
-    pt = chain_complex(SimplicialComplex([(9,)]), F3)
-    # one endpoint to the point, the other to 0: f(de) != 0 = d(f(e))
+def test_chain_map_rejects_non_commuting_matrices(monkeypatch):
+    seg = SimplicialComplex([(0, 1)])
+    C = chain_complex(seg, F3)
+    # with the orientation sign lost, the swapped edge maps to +e while its
+    # boundary maps to -de: f(de) != d(f(e)) over F_3
+    monkeypatch.setattr(complexes, "_sorted_with_sign", lambda v: (tuple(sorted(v)), 1))
     with pytest.raises(ValueError, match="commute"):
-        ChainMap(seg, pt, {0: [[1, 0]]})
-    with pytest.raises(ValueError, match="shape"):
-        ChainMap(seg, pt, {0: [[1]]})
+        induced_chain_map({0: 1, 1: 0}, seg, seg, C, C)
 
 
 def test_checks_survive_optimized_mode():
@@ -258,6 +268,11 @@ def test_checks_survive_optimized_mode():
          "PrimeField.kernel_basis = lambda self, M: 2 * self.identity(M.shape[1]); "
          "homology(chain_complex(SimplicialComplex([(0,)]), PrimeField(3)), 0)",
          "ValueError: cycle basis is not the identity"),
+        ("import paramhom.complexes as c; "
+         "c._sorted_with_sign = lambda v: (tuple(sorted(v)), 1); "
+         "S = SimplicialComplex([(0, 1)]); C = chain_complex(S, PrimeField(3)); "
+         "c.induced_chain_map({0: 1, 1: 0}, S, S, C, C)",
+         "ValueError: chain map fails to commute"),
     ]
     src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
     for code, message in cases:
@@ -271,12 +286,11 @@ def test_homology_maps_reject_mismatched_inputs():
     seg = SimplicialComplex([(0, 1)])
     C = chain_complex(seg, F3)
     h0, h1 = homology(C, 0), homology(C, 1)
-    # the endpoint swap as a coordinate map: column j goes to column 1 - j
-    assert np.array_equal(coordinate_homology_map(h0, h0, [1, 0]), [[1]])
-    assert np.array_equal(coordinate_homology_map(h0, h0, [-1, -1]), [[0]])
+    # the endpoint swap as a column map: column j goes to column 1 - j
+    assert np.array_equal(induced_homology_map(h0, h0, [1, 0]), [[1]])
+    assert np.array_equal(induced_homology_map(h0, h0, [1, 0], [2, 2]), [[2]])
+    assert np.array_equal(induced_homology_map(h0, h0, [-1, -1]), [[0]])
     with pytest.raises(ValueError, match="columns"):
-        coordinate_homology_map(h0, h0, [0])
+        induced_homology_map(h0, h0, [0])
     with pytest.raises(ValueError, match="degrees"):
-        coordinate_homology_map(h0, h1, [0, 1])
-    with pytest.raises(ValueError, match="degrees"):
-        induced_homology_map(ChainMap.identity(C), h0, h1)
+        induced_homology_map(h0, h1, [0, 1])

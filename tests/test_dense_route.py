@@ -1,11 +1,12 @@
-"""Homology maps by column indices against the dense route.
+"""Homology maps of column maps against the dense route.
 
 The library computes each homology group in the coordinates of its cycle
-basis and every coordinate chain map (slice end-fiber inclusions, the seven
-extended-module arrows) as a list of column indices.  Here the same matrices
-are rebuilt the dense way: homology through an inverted basis extension,
-coordinate maps as commutation-checked 0/1 chain maps multiplied out.  The
-arrows of the levelset zigzag, the rectangle modules and the extended
+basis and every chain map (the attaching maps l_i and r_i, slice end-fiber
+inclusions, the seven extended-module arrows) as a column map.  Here the
+same matrices are rebuilt the dense way: homology through an inverted basis
+extension, l_i and r_i straight from the vertex tables and coordinate maps
+as 0/1 blocks, each a commutation-checked dense chain map, multiplied out.
+The arrows of the levelset zigzag, the rectangle modules and the extended
 modules must come out byte for byte the same, on every corpus space and a
 few more random ones, in three characteristics.
 """
@@ -16,7 +17,7 @@ import random
 import numpy as np
 import pytest
 
-from paramhom.complexes import ChainMap, induced_homology_map, quotient_complex, subcomplex
+from paramhom.complexes import quotient_complex, subcomplex
 from paramhom.extended import (_sublevel_columns, _superlevel_columns, _whole_telescope,
                                extended_module)
 from paramhom.fieldlin import PrimeField
@@ -24,7 +25,8 @@ from paramhom.levelset import levelset_zigzag
 from paramhom.measures import rectangle_module
 
 import corpus
-from oracles import dense_coordinate_map, dense_homology
+from oracles import (ChainMap, dense_coordinate_map, dense_homology, dense_homology_map,
+                     dense_simplicial_map)
 
 PRIMES = (2, 3, 33554393)
 
@@ -65,22 +67,24 @@ def _dense_slice(X, p, q, k, cache):
         ends = []
         for fiber, end in ((sl.plan.fiber_p, 0), (sl.plan.fiber_q, -1)):
             f = _end_inclusion(X, sl, fiber, end)
-            ends.append(induced_homology_map(f, dense_homology(f.src, k), h))
+            ends.append(dense_homology_map(f, dense_homology(f.src, k), h))
         cache[key] = (h, *ends)
     return cache[key]
 
 
 def _dense_levelset_arrows(X, k) -> list:
     n = X.n_critical
-    gaps = [dense_homology(X.piece_chain(("E", i)), k) for i in range(n - 1)]
+    V = [X.piece_chain(("V", i)) for i in range(n)]
+    E = [X.piece_chain(("E", i)) for i in range(n - 1)]
+    gaps = [dense_homology(C, k) for C in E]
     arrows = []
     for i in range(n):
-        h = dense_homology(X.piece_chain(("V", i)), k)
+        h = dense_homology(V[i], k)
         none = np.zeros((h.rank, 0), dtype=np.int64)
-        arrows.append(none if i == 0 else
-                      induced_homology_map(X.edge_chain_maps(i - 1)[1], gaps[i - 1], h))
-        arrows.append(none if i == n - 1 else
-                      induced_homology_map(X.edge_chain_maps(i)[0], gaps[i], h))
+        arrows.append(none if i == 0 else dense_homology_map(
+            dense_simplicial_map(X.right_maps[i - 1], E[i - 1], V[i]), gaps[i - 1], h))
+        arrows.append(none if i == n - 1 else dense_homology_map(
+            dense_simplicial_map(X.left_maps[i], E[i], V[i]), gaps[i], h))
     return arrows
 
 
@@ -91,7 +95,7 @@ def _dense_extended_arrows(X, k, R) -> list:
               + [quotient_complex(full, _superlevel_columns(X, full, t))
                  for t in reversed(corners)])
     bases = [dense_homology(C, k) for C, _ in pieces]
-    return [induced_homology_map(dense_coordinate_map(full, *src, *tgt), hs, ht)
+    return [dense_homology_map(dense_coordinate_map(full, *src, *tgt), hs, ht)
             for src, tgt, hs, ht in zip(pieces, pieces[1:], bases, bases[1:])]
 
 

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from paramhom.cli import main
 from paramhom.io import InputError, parse_diagram, parse_space
+from paramhom.plot import render_svg
 
 from corpus import RP2, constant_doc
 
@@ -98,6 +99,20 @@ def test_parse_space_accepts_or_raises_input_error(doc):
 @example([dict(ENTRY, birth=-10 ** 400)])
 def test_parse_diagram_accepts_or_raises_input_error(doc):
     _outcome(parse_diagram, doc)
+
+
+reals = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(reals, reals), max_size=3))
+@example([(1e17, 1e17)])
+@example([(-1e308, 1e308)])
+def test_plot_coordinates_are_finite(points):
+    # a span that rounds to zero divided by zero; one that overflows drew nan
+    entries = [dict(ENTRY, birth=min(p, q), death=max(p, q)) for p, q in points]
+    svg = render_svg(parse_diagram(entries))
+    assert "nan" not in svg and "inf" not in svg
 
 
 @settings(max_examples=100, deadline=None,

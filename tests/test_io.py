@@ -40,9 +40,13 @@ class TestReals:
         assert format_real(1.0) == 1
         assert format_real(-3.0) == -3
 
-    def test_significant_digits(self):
-        v = 0.1234567890123456
-        assert format_real(v) == 0.123456789012
+    def test_exact_round_trip(self):
+        # rounding to 12 digits printed 1.0000000000001 as 1
+        for v in (0.1234567890123456, 1.0000000000001, 1e17, -2.5e-300, 5e-324,
+                  1.7976931348623157e308):
+            assert parse_real(json.loads(json.dumps(format_real(v)))) == v
+        assert json.dumps(format_real(0.1234567890123456)) == "0.1234567890123456"
+        assert json.dumps(format_real(-2.5)) == "-2.5"
 
     def test_round_trip(self):
         for v in (0.0, -2.5, 1e-9, 12345.678, math.inf, -math.inf):
