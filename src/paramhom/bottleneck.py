@@ -62,38 +62,16 @@ def _expand(D: Mapping[Point, int] | Iterable[Point]) -> list[Point]:
     return [(float(p), float(q)) for p, q in D]
 
 
-def _feasible(cost: np.ndarray, diag_a: list[float], diag_b: list[float],
-              delta: float) -> bool:
-    """Is there a partial matching of cost <= delta?
-
-    cost[i][j] is the distance from point i of A to point j of B, and
-    diag_a, diag_b the distances of the points to the diagonal.  Reduction
-    to perfect bipartite matching: the left side is A plus one diagonal slot
-    per point of B, the right side is B plus one slot per point of A;
-    diagonal slots pair with their own point when that point may stay
-    unmatched, and with each other freely.
-    """
-    na, nb = len(diag_a), len(diag_b)
-    size = na + nb
-    adj: list[list[int]] = []
-    for i in range(na):
-        row = np.flatnonzero(cost[i] <= delta).tolist()
-        if diag_a[i] <= delta:
-            row.append(nb + i)
-        adj.append(row)
-    diag_row = list(range(nb, size))
-    for j in range(nb):
-        row = list(diag_row)
-        if diag_b[j] <= delta:
-            row.append(j)
-        adj.append(row)
-
-    match_right, match_left = [-1] * size, [-1] * size
+def _covers(near: np.ndarray) -> bool:
+    """Can each row of near take a distinct column that it marks True?"""
+    adj = [np.flatnonzero(row).tolist() for row in near]
+    n_right = near.shape[1]
+    match_right, match_left = [-1] * n_right, [-1] * len(adj)
 
     def augment(root: int) -> bool:
         # breadth-first search for an augmenting path, with no recursion;
         # reached[v] is the left vertex that reached right vertex v
-        reached = [-1] * size
+        reached = [-1] * n_right
         queue = [root]
         for u in queue:
             for v in adj[u]:
@@ -107,16 +85,24 @@ def _feasible(cost: np.ndarray, diag_a: list[float], diag_b: list[float],
                     queue.append(match_right[v])
         return False
 
-    # greedy pass first; a vertex with no augmenting path never gains one as
-    # the matching grows, so the first failure decides
-    unmatched = []
-    for u in range(size):
-        v = next((v for v in adj[u] if match_right[v] == -1), -1)
-        if v == -1:
-            unmatched.append(u)
-        else:
-            match_right[v], match_left[u] = u, v
-    return all(augment(u) for u in unmatched)
+    # a vertex with no augmenting path never gains one as the matching
+    # grows, so the first failure decides
+    return all(augment(u) for u in range(len(adj)))
+
+
+def _feasible(cost: np.ndarray, diag_a: np.ndarray, diag_b: np.ndarray,
+              delta: float) -> bool:
+    """Is there a partial matching of cost <= delta?
+
+    cost[i][j] is the distance from point i of A to point j of B, and
+    diag_a, diag_b the distances of the points to the diagonal.  The points
+    farther than delta from the diagonal must be matched.  One matching of
+    the delta-graph covering those of A and another covering those of B
+    combine into one covering both (Mendelsohn-Dulmage), so two one-sided
+    checks decide.
+    """
+    near = cost <= delta
+    return _covers(near[diag_a > delta]) and _covers(near.T[diag_b > delta])
 
 
 def bottleneck_distance(A, B) -> float:
@@ -126,15 +112,22 @@ def bottleneck_distance(A, B) -> float:
     or as point iterables.  The optimum is attained at one of the pairwise
     distances or diagonal distances, so a binary search over that candidate
     set is exact.
+
+    Raises:
+        ValueError: on a negative multiplicity, or when the finite
+            coordinates span more than the largest float.
     """
     a_pts, b_pts = _expand(A), _expand(B)
     if not a_pts and not b_pts:
         return 0.0
+    finite = [c for pt in a_pts + b_pts for c in pt if math.isfinite(c)]
+    if finite and math.isinf(max(finite) - min(finite)):
+        raise ValueError("diagram coordinates span more than the float range")
     cost = np.empty((len(a_pts), len(b_pts)))
     for i, x in enumerate(a_pts):
         cost[i] = [dinf(x, y) for y in b_pts]
-    diag_a = [diagonal_distance(x) for x in a_pts]
-    diag_b = [diagonal_distance(y) for y in b_pts]
+    diag_a = np.array([diagonal_distance(x) for x in a_pts])
+    diag_b = np.array([diagonal_distance(y) for y in b_pts])
     ordered = np.unique(np.concatenate([cost.ravel(), diag_a, diag_b, [0.0, math.inf]]))
     lo, hi = 0, len(ordered) - 1
     while lo < hi:
@@ -172,14 +165,17 @@ def stability_report(X: ConstructibleRSpace, Y: ConstructibleRSpace,
     undecorated diagrams must be at most delta.
 
     Raises:
-        ValueError: if the spaces differ in anything but their values, or
-            the tolerance is negative or NaN.
+        ValueError: if the spaces differ in anything but their values,
+            the tolerance is negative or NaN, or values or diagram
+            coordinates lie farther apart than the largest float.
     """
     if not tolerance >= 0:
         raise ValueError(f"tolerance must be nonnegative, got {tolerance}")
     if not _same_combinatorics(X, Y):
         raise ValueError("spaces must share field, complexes and attaching maps")
     delta = max(abs(a - b) for a, b in zip(X.critical_values, Y.critical_values))
+    if not math.isfinite(delta):
+        raise ValueError("critical values differ by more than the float range")
     report = {}
     for k in range(max(X.max_piece_dimension(), 0) + 2):
         DX, DY = all_diagrams(X, k), all_diagrams(Y, k)

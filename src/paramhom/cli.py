@@ -92,8 +92,11 @@ def cmd_bottleneck(args) -> int:
     A = load_diagram(args.diagram_a)
     B = load_diagram(args.diagram_b)
     btype = BehaviorType(args.type)
-    d = bottleneck_distance(entry_multiset(A, _check_dim(args.dim), btype),
-                            entry_multiset(B, args.dim, btype))
+    try:
+        d = bottleneck_distance(entry_multiset(A, _check_dim(args.dim), btype),
+                                entry_multiset(B, args.dim, btype))
+    except ValueError as e:
+        raise InputError(str(e)) from e
     print("inf" if math.isinf(d) else f"{d:.9f}")
     return 0
 

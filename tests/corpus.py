@@ -3,10 +3,10 @@
 Every builder returns a ConstructibleRSpace.  The expected homology and
 diagrams quoted in the tests were worked out by hand from these models (the
 derivations are sketched next to each builder); nothing here is computed by
-the code under test.  constant_doc writes a fiber held constant as a CLI
-input document.  The helpers at the end refine a space at regular values,
-re-parametrize it, flip its coordinate, and count the Euler characteristic
-of a chain complex.
+the code under test.  constant_doc writes a fiber held constant, and
+point_doc a point over given critical values, as CLI input documents.  The
+helpers at the end refine a space at regular values, re-parametrize it,
+flip its coordinate, and count the Euler characteristic of a chain complex.
 """
 
 from __future__ import annotations
@@ -223,6 +223,19 @@ def constant_doc(simplices, characteristic: int) -> dict:
     return {"characteristic": characteristic, "critical_values": [0, 1],
             "vertex_complexes": [simplices, simplices], "edge_complexes": [simplices],
             "left_maps": [ident], "right_maps": [ident]}
+
+
+def point_doc(values: list) -> dict:
+    """JSON input document of a point over each critical value and each gap."""
+    n = len(values)
+    return {"critical_values": values, "vertex_complexes": [[[0]]] * n,
+            "edge_complexes": [[[0]]] * (n - 1), "left_maps": [{"0": 0}] * (n - 1),
+            "right_maps": [{"0": 0}] * (n - 1)}
+
+
+# two sets of critical values some of whose differences, -1.7e308 to
+# 1.7e308 or 1.6e308, are past the largest float
+OVERFLOW_VALUES = ([-1.7e308, 0, 1.7e308], [1.6e308, 1.65e308, 1.7e308])
 
 
 def random_space(rng: random.Random, field=F2, max_values: int = 6,

@@ -30,6 +30,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+# the one random-module generator, shared with checks.restriction_suite
+from paramhom.checks import _random_zigzag as random_zigzag
 from paramhom.complexes import ChainComplex, HomologyBasis
 from paramhom.diagrams import BehaviorType, DecoratedDiagram, DecoratedPoint, Rectangle
 from paramhom.fieldlin import PrimeField
@@ -147,20 +149,6 @@ def random_invertible(rng: random.Random, field: PrimeField, n: int) -> np.ndarr
                      dtype=np.int64).reshape(n, n)
         if field.rank(A) == n:
             return A
-
-
-def random_zigzag(rng: random.Random, field: PrimeField,
-                  max_len: int = 8, max_dim: int = 5) -> ZigzagModule:
-    n = rng.randint(1, max_len)
-    dims = [rng.randint(0, max_dim) for _ in range(n)]
-    arrows = []
-    for i in range(n - 1):
-        direction = rng.choice("fb")
-        shape = (dims[i + 1], dims[i]) if direction == "f" else (dims[i], dims[i + 1])
-        M = np.array([rng.randrange(field.p) for _ in range(shape[0] * shape[1])],
-                     dtype=np.int64).reshape(shape)
-        arrows.append((direction, M))
-    return ZigzagModule(field, dims, arrows)
 
 
 def planted_zigzag(rng: random.Random, field: PrimeField, max_len: int = 6,
@@ -409,6 +397,84 @@ def brute_bottleneck(a_pts, b_pts) -> float:
 
     rec(0, frozenset(), 0.0)
     return best
+
+
+def slot_bottleneck(a_pts, b_pts) -> float:
+    """Bottleneck distance by reduction to perfect bipartite matching.
+
+    The left side is A plus one diagonal slot per point of B, the right
+    side is B plus one slot per point of A; diagonal slots pair with their
+    own point when that point may stay unmatched, and with each other
+    freely.  Each candidate delta is decided by a greedy pass and then
+    breadth-first augmenting paths, and a binary search over the sorted
+    candidates finds the least feasible one.
+    """
+    from paramhom.bottleneck import diagonal_distance, dinf
+
+    a_pts, b_pts = list(a_pts), list(b_pts)
+    if not a_pts and not b_pts:
+        return 0.0
+    cost = np.empty((len(a_pts), len(b_pts)))
+    for i, x in enumerate(a_pts):
+        cost[i] = [dinf(x, y) for y in b_pts]
+    diag_a = [diagonal_distance(x) for x in a_pts]
+    diag_b = [diagonal_distance(y) for y in b_pts]
+
+    def feasible(delta: float) -> bool:
+        na, nb = len(diag_a), len(diag_b)
+        size = na + nb
+        adj: list[list[int]] = []
+        for i in range(na):
+            row = np.flatnonzero(cost[i] <= delta).tolist()
+            if diag_a[i] <= delta:
+                row.append(nb + i)
+            adj.append(row)
+        diag_row = list(range(nb, size))
+        for j in range(nb):
+            row = list(diag_row)
+            if diag_b[j] <= delta:
+                row.append(j)
+            adj.append(row)
+
+        match_right, match_left = [-1] * size, [-1] * size
+
+        def augment(root: int) -> bool:
+            # breadth-first search for an augmenting path, with no recursion;
+            # reached[v] is the left vertex that reached right vertex v
+            reached = [-1] * size
+            queue = [root]
+            for u in queue:
+                for v in adj[u]:
+                    if reached[v] == -1:
+                        reached[v] = u
+                        if match_right[v] == -1:
+                            while v != -1:  # flip the path back to the root
+                                u = reached[v]
+                                match_right[v], match_left[u], v = u, v, match_left[u]
+                            return True
+                        queue.append(match_right[v])
+            return False
+
+        # greedy pass first; a vertex with no augmenting path never gains one
+        # as the matching grows, so the first failure decides
+        unmatched = []
+        for u in range(size):
+            v = next((v for v in adj[u] if match_right[v] == -1), -1)
+            if v == -1:
+                unmatched.append(u)
+            else:
+                match_right[v], match_left[u] = u, v
+        return all(augment(u) for u in unmatched)
+
+    ordered = np.unique(np.concatenate([cost.ravel(), diag_a, diag_b, [0.0, math.inf]]))
+    lo, hi = 0, len(ordered) - 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if feasible(ordered[mid]):
+            hi = mid
+        else:
+            lo = mid + 1
+    return float(ordered[lo])
 
 
 class MeasureNotAdditiveError(Exception):

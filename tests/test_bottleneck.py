@@ -19,7 +19,7 @@ from paramhom.fieldlin import PrimeField
 
 import corpus
 from corpus import with_critical_values
-from oracles import brute_bottleneck
+from oracles import brute_bottleneck, slot_bottleneck
 
 INF = math.inf
 
@@ -99,12 +99,48 @@ class TestBottleneck:
     def test_agrees_with_brute_force(self, A, B):
         assert bottleneck_distance(A, B) == brute_bottleneck(A, B)
 
+    def test_agrees_with_diagonal_slots(self):
+        # up to 80 points a side, beyond brute force: B moves every
+        # essential point and most finite points of A by half-steps of a
+        # coarse grid, so costs tie and points repeat
+        rng = random.Random(11)
+
+        def moved(c: float) -> float:
+            return c if math.isinf(c) else c + rng.randint(-2, 2) / 2
+
+        def finite_point():
+            return tuple(sorted((rng.randint(0, 16) / 2, rng.randint(0, 16) / 2)))
+
+        for trial in range(40):
+            A = []
+            for _ in range(0 if trial % 10 == 0 else rng.randint(1, 80)):
+                p, q = finite_point()
+                A.append(rng.choice([(p, q), (p, q), (p, q), (-INF, q), (p, INF)]))
+            B = [tuple(sorted((moved(p), moved(q)))) for p, q in A
+                 if math.isinf(p) or math.isinf(q) or rng.random() < 0.8]
+            B += [finite_point() for _ in range(rng.randint(0, 10))]
+            if trial % 10 == 5:
+                B = []
+            want = slot_bottleneck(A, B)
+            assert bottleneck_distance(A, B) == want, trial
+            assert bottleneck_distance(Counter(B), Counter(A)) == want, trial
+
+    def test_overflowing_span_rejected(self):
+        # the distance from -1.7e308 to 1.7e308 is no float
+        with pytest.raises(ValueError, match="float range"):
+            bottleneck_distance([(-1.7e308, 1.7e308)], [])
+        with pytest.raises(ValueError, match="float range"):
+            bottleneck_distance(Counter({(-1.7e308, 0.0): 1}),
+                                Counter({(1.6e308, 1.7e308): 2, (0.0, INF): 1}))
+        # infinite ends do not count towards the span
+        assert bottleneck_distance([(-INF, -1e308)], [(7e307, INF)]) == INF
+
 
 def chain(n: int, length: float = 1000.0):
     """Diagrams matched at cost 1/2 only through an n-step augmenting path.
 
-    A_i may take B_i or B_{i+1}; the extra point of A needs B_0, which the
-    greedy pass gave to A_0, so every A_i has to shift over by one.
+    A_i may take B_i or B_{i+1}; the extra point of A, matched last, needs
+    B_0, which A_0 took first, so every A_i has to shift over by one.
     """
     A = [(i + 0.5, i + length + 0.5) for i in range(n)] + [(-0.5, length - 0.5)]
     B = [(float(i), i + length) for i in range(n + 1)]
@@ -170,6 +206,15 @@ class TestStability:
         # spaces are not one space with moved values
         with pytest.raises(ValueError, match="field"):
             stability_report(corpus.circle(), corpus.circle(PrimeField(3)))
+
+    @pytest.mark.parametrize("values", [([-1.7e308, 0.0], [1.6e308, 1.7e308]),
+                                        ([0.0, 1.0], [-1.7e308, 1.7e308])])
+    def test_overflowing_values_rejected(self, values):
+        # the first moves a value farther than the largest float; the second
+        # spreads one diagram's coordinates beyond it
+        X, Y = (with_critical_values(corpus.circle(), v) for v in values)
+        with pytest.raises(ValueError, match="float range"):
+            stability_report(X, Y)
 
     @pytest.mark.parametrize("tolerance", [math.nan, -1.0])
     def test_bad_tolerance_rejected(self, tolerance):

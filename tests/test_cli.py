@@ -9,6 +9,7 @@ import paramhom.cli as cli
 from paramhom.cli import main
 
 import corpus
+from corpus import point_doc
 
 CIRCLE = {
     "critical_values": [0, 1],
@@ -28,12 +29,7 @@ TWO_COMPONENT = {
 }
 
 
-def point_doc(values: list) -> dict:
-    """A point over each critical value and each gap."""
-    n = len(values)
-    return {"critical_values": values, "vertex_complexes": [[[0]]] * n,
-            "edge_complexes": [[[0]]] * (n - 1), "left_maps": [{"0": 0}] * (n - 1),
-            "right_maps": [{"0": 0}] * (n - 1)}
+OVERFLOW_A, OVERFLOW_B = (point_doc(v) for v in corpus.OVERFLOW_VALUES)
 
 
 @pytest.fixture
@@ -167,6 +163,15 @@ class TestBottleneck:
         assert main(["bottleneck", a, a, "--dim", "5", "--type", "oc"]) == 0
         assert capsys.readouterr().out == "0.000000000\n"
 
+    def test_overflowing_coordinates_exit_2(self, tmp_path, capsys):
+        paths = []
+        for name, doc in (("a", OVERFLOW_A), ("b", OVERFLOW_B)):
+            paths.append(str(tmp_path / f"{name}.dgm.json"))
+            main(["diagram", write_doc(tmp_path, f"{name}.json", doc), "--out", paths[-1]])
+        assert main(["bottleneck", *paths, "--dim", "0", "--type", "cc"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "float range" in err
+
 
 class TestStability:
     def test_pass_and_report(self, tmp_path, circle_path, capsys):
@@ -190,6 +195,14 @@ class TestStability:
         assert main(["stability", a, b]) == 2
         out, err = capsys.readouterr()
         assert out == "" and "field" in err
+
+    def test_overflowing_values_exit_2(self, tmp_path, capsys):
+        # d_b and delta both read inf here, and the bound used to pass
+        a = write_doc(tmp_path, "a.json", OVERFLOW_A)
+        b = write_doc(tmp_path, "b.json", OVERFLOW_B)
+        assert main(["stability", a, b]) == 2
+        out, err = capsys.readouterr()
+        assert "PASS" not in out and "float range" in err
 
     @pytest.mark.parametrize("tolerance", ["nan", "-1"])
     def test_bad_tolerance_exit_2(self, circle_path, capsys, tolerance):

@@ -8,6 +8,7 @@ CLI answers any input file, rectangle or numeric option with exit 0, 1 or
 import contextlib
 import io
 import json
+import math
 import os
 import tempfile
 
@@ -18,7 +19,7 @@ from paramhom.cli import main
 from paramhom.io import InputError, parse_diagram, parse_space
 from paramhom.plot import render_svg
 
-from corpus import RP2, constant_doc
+from corpus import OVERFLOW_VALUES, RP2, constant_doc, point_doc
 
 CIRCLE = {
     "critical_values": [0, 1],
@@ -71,19 +72,25 @@ def _outcome(parse, doc) -> None:
         pass
 
 
-def _exit_code(command: str, docs: list, options: list[str] = []) -> int:
+def _run(command: str, docs: list, options: list[str] = []) -> tuple[int, str]:
+    """Exit status and standard output of one CLI call on these documents."""
     with tempfile.TemporaryDirectory() as tmp:
         paths = []
         for i, doc in enumerate(docs):
             paths.append(os.path.join(tmp, f"{i}.json"))
             with open(paths[-1], "w", encoding="utf-8") as fh:
                 json.dump(doc, fh)
-        with contextlib.redirect_stdout(io.StringIO()), \
-                contextlib.redirect_stderr(io.StringIO()):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
             try:
-                return main([command, *paths, *options])
+                code = main([command, *paths, *options])
             except SystemExit as e:  # argparse refuses an option value
-                return e.code
+                code = e.code
+        return code, out.getvalue()
+
+
+def _exit_code(command: str, docs: list, options: list[str] = []) -> int:
+    return _run(command, docs, options)[0]
 
 
 @settings(max_examples=300, deadline=None)
@@ -131,6 +138,7 @@ def test_cli_exit_codes(space, entries):
 @given(space_docs, space_docs, rects, numbers, st.sampled_from(["1", "0", "-3"]))
 @example(constant_doc(RP2, 2), constant_doc(RP2, 3), "-1,0,1,2", "1e-9", "1")
 @example(CIRCLE, CIRCLE, "-1,0,1,2", "nan", "0")
+@example(*(point_doc(v) for v in OVERFLOW_VALUES), "-1,0,1,2", "1e-9", "1")
 def test_cli_subcommand_exit_codes(space, other, rect, tolerance, samples):
     for command, options in (("measure", ["--type", "cc", "--dim", "0"]),
                              ("extended", ["--type", "ext+", "--dim", "0"])):
@@ -141,6 +149,25 @@ def test_cli_subcommand_exit_codes(space, other, rect, tolerance, samples):
     assert _exit_code("stability", [space, space],
                       [f"--tolerance={tolerance}"]) in (0, 2)
     assert _exit_code("validate", [space], [f"--samples={samples}"]) in (0, 1, 2)
+
+
+huge = (st.sampled_from([-1.7e308, -1e308, 0.0, 1e308, 1.7e308])
+        | st.floats(min_value=-1.7e308, max_value=1.7e308))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(min_value=1, max_value=3).flatmap(
+    lambda n: st.lists(st.lists(huge, min_size=n, max_size=n, unique=True).map(sorted),
+                       min_size=2, max_size=2)))
+@example(list(OVERFLOW_VALUES))
+def test_stability_refuses_overflow(values):
+    # differences past the largest float read inf, and inf <= inf passed
+    code, out = _run("stability", [point_doc(v) for v in values])
+    if code != 2:
+        for line in out.splitlines():
+            fields = dict(f.split("=") for f in line.split()[:-1])
+            assert math.isfinite(float(fields["d_b"])), line
+            assert math.isfinite(float(fields["delta"])), line
 
 
 def test_unreadable_documents_exit_2(tmp_path):
