@@ -52,14 +52,16 @@ def diagonal_distance(x: Point) -> float:
 
 
 def _expand(D: Mapping[Point, int] | Iterable[Point]) -> list[Point]:
-    if isinstance(D, Mapping):
-        pts = []
-        for pt, m in D.items():
-            if m < 0:
-                raise ValueError("negative multiplicity")
-            pts.extend([(float(pt[0]), float(pt[1]))] * m)
-        return pts
-    return [(float(p), float(q)) for p, q in D]
+    items = D.items() if isinstance(D, Mapping) else ((pt, 1) for pt in D)
+    pts = []
+    for (p, q), m in items:
+        p, q = float(p), float(q)
+        if m < 0:
+            raise ValueError("negative multiplicity")
+        if not p <= q:  # also refuses a NaN coordinate
+            raise ValueError(f"need p <= q, got ({p}, {q})")
+        pts.extend([(p, q)] * m)
+    return pts
 
 
 def _covers(near: np.ndarray) -> bool:
@@ -114,8 +116,9 @@ def bottleneck_distance(A, B) -> float:
     set is exact.
 
     Raises:
-        ValueError: on a negative multiplicity, or when the finite
-            coordinates span more than the largest float.
+        ValueError: on a negative multiplicity, a point with p > q or a
+            NaN coordinate, or when the finite coordinates span more than
+            the largest float.
     """
     a_pts, b_pts = _expand(A), _expand(B)
     if not a_pts and not b_pts:

@@ -15,28 +15,31 @@ measures, with a dimension shift of one for the two kinds that pass through
 relative homology; `extended_from_parametrized` applies that dictionary to
 whole diagrams.
 
-Sublevel and relative complexes are all carved out of one telescope of the
-whole space, so the seven chain maps are coordinate inclusions, coordinate
-projections, and composites of the two: each sends a kept column of the
-telescope to the same column in its target, or to 0 where the target
-quotients it away.
+Sublevel and relative complexes are column sets of the space's own cached
+telescope (`X.telescope()`): X^t spans the columns over (-inf, t] and X_t
+those over [t, inf), the same selection rule that carves out the slices of
+the rectangle measures.  So the seven chain maps are coordinate inclusions,
+coordinate projections, and composites of the two: each sends a kept
+column of the telescope to the same column in its target, or to 0 where
+the target quotients it away.
 
-A corner t in a gap (a_i, a_{i+1}) snaps to a critical value: X^t is taken
-as the telescope of X^{a_i} and X_t as that of X_{a_{i+1}}.  X^t is X^{a_i}
-with the mapping cylinder of l_i: E_i -> V_i cut at t attached, and that
-cylinder retracts onto V_i; likewise X_t retracts onto X_{a_{i+1}} through
-the cylinder of r_i.  The retractions commute with every inclusion in the
-filtration, so the snapped module is isomorphic to the one over t and
-decomposes the same way, with no new critical value and no new space.
+A corner t in a gap (a_i, a_{i+1}) snaps to a critical value, as a gap end
+of a slice does: X^t is taken as the telescope of X^{a_i} and X_t as that
+of X_{a_{i+1}}.  X^t is X^{a_i} with the mapping cylinder of l_i: E_i -> V_i
+cut at t attached, and that cylinder retracts onto V_i; likewise X_t
+retracts onto X_{a_{i+1}} through the cylinder of r_i.  The retractions
+commute with every inclusion in the filtration, so the snapped module is
+isomorphic to the one over t and decomposes the same way, with no new
+critical value and no new space.
 """
 
 from __future__ import annotations
 
+import math
 from enum import Enum
 from typing import Mapping
 
-from .complexes import (ChainComplex, homology, induced_homology_map,
-                        quotient_complex, subcomplex, telescope)
+from .complexes import homology, induced_homology_map, quotient_complex, subcomplex
 from .diagrams import BehaviorType, DecoratedDiagram, Rectangle
 from .levelset import all_diagrams
 from .rspace import ConstructibleRSpace
@@ -84,45 +87,13 @@ PARAMETRIZED: dict[ExtendedType, tuple[BehaviorType, int]] = {
 }
 
 
-def _whole_telescope(X: ConstructibleRSpace) -> ChainComplex:
-    nodes = [X.piece_chain(("V", i)) for i in range(X.n_critical)]
-    edges = [(X.piece_chain(("E", i)), *X.edge_chain_maps(i))
-             for i in range(X.n_critical - 1)]
-    return telescope(nodes, edges)
-
-
-def _sublevel_columns(X: ConstructibleRSpace, full: ChainComplex,
-                      t: float) -> dict[int, list[int]]:
-    """Telescope columns spanning the sublevel set at t.
-
-    A critical block V_i lies at value a_i; a gap block spans (a_i, a_{i+1})
-    and belongs to the sublevel set once its upper end does.
-    """
-    vals = X.critical_values
-    cols: dict[int, list[int]] = {}
-    for k in full.degrees():
-        cols[k] = [j for j, (kind, i, _) in enumerate(full.labels[k])
-                   if (vals[i] if kind == "v" else vals[i + 1]) <= t]
-    return cols
-
-
-def _superlevel_columns(X: ConstructibleRSpace, full: ChainComplex,
-                        t: float) -> dict[int, list[int]]:
-    vals = X.critical_values
-    cols: dict[int, list[int]] = {}
-    for k in full.degrees():
-        cols[k] = [j for j, (kind, i, _) in enumerate(full.labels[k])
-                   if vals[i] >= t]
-    return cols
-
-
 def extended_module(X: ConstructibleRSpace, k: int, R: Rectangle) -> ZigzagModule:
     """Degree-k homology of the eight-node filtration selected by R."""
     corners = (R.a, R.b, R.c, R.d)
-    full = _whole_telescope(X)
+    full = X.telescope()
     # each piece with the telescope columns it keeps, in filtration order
-    pieces = ([subcomplex(full, _sublevel_columns(X, full, t)) for t in corners]
-              + [quotient_complex(full, _superlevel_columns(X, full, t))
+    pieces = ([subcomplex(full, X.columns_over(-math.inf, t)) for t in corners]
+              + [quotient_complex(full, X.columns_over(t, math.inf))
                  for t in reversed(corners)])
     bases = [homology(C, k) for C, _ in pieces]
     arrows = []

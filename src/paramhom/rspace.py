@@ -3,21 +3,24 @@
 A space is encoded Morse-style: a simplicial fiber V_i over each critical
 value a_i, a simplicial fiber E_i over each open gap (a_i, a_{i+1}), and
 vertex maps l_i: E_i -> V_i, r_i: E_i -> V_{i+1} describing how the regular
-fiber collapses onto the critical ones.  Every levelset and every slice
-f^{-1}[p, q] is derived from this data; slices are mapping telescopes.
-The chain maps of l_i and r_i are column maps (see complexes), read by
-the telescopes and by the attachment homology maps.
+fiber collapses onto the critical ones.  The chain maps of l_i and r_i are
+column maps (see complexes), read by the attachment homology maps and by
+the one chain model of the space, its levelset telescope: V_i lies over a_i
+and the cylinder of E_i over [a_i, a_{i+1}], so every slice, sublevel set
+and superlevel set is a set of telescope columns (`columns_over`).
 
-Slices with the same combinatorial plan (same run of pieces, same kind of
-end behaviour) are isomorphic, so homology is cached per plan, not per
-numeric rectangle.  Instances are treated as immutable after construction.
+A slice f^{-1}[p, q] holding the critical values a_lo..a_hi retracts onto
+the columns over [a_lo, a_hi]: an end p in the gap below a_lo snaps to a_lo
+through the cylinder of r_{lo-1}, and an end q above a_hi to a_hi through
+that of l_hi.  Slices with the same lo, hi and end fibers are therefore
+the same, so their homology is cached per such plan, not per numeric
+rectangle.  Instances are treated as immutable after construction.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -31,49 +34,12 @@ from .complexes import (
     homology,
     induced_chain_map,
     induced_homology_map,
+    subcomplex,
     telescope,
 )
 from .fieldlin import PrimeField
 
-__all__ = [
-    "ConstructibleRSpace",
-    "SlicePlan",
-    "SliceResult",
-]
-
-
-def _identity(C: ChainComplex) -> ColumnMap:
-    """The identity chain map of C as a column map."""
-    return {k: (np.arange(C.dim(k)), np.ones(C.dim(k), dtype=np.int64))
-            for k in C.degrees()}
-
-
-@dataclass(frozen=True)
-class SlicePlan:
-    """Combinatorial shape of a slice f^{-1}[p, q].
-
-    nodes lists the diagram in order, tagged ("V", i) for critical fibers and
-    ("E", i) for gap fibers kept as free ends.  fiber_p / fiber_q name the
-    piece carrying the fiber at each endpoint (None when that fiber is
-    empty, i.e. the endpoint lies outside the support).
-    """
-
-    nodes: tuple[tuple[str, int], ...]
-    fiber_p: tuple[str, int] | None
-    fiber_q: tuple[str, int] | None
-
-
-@dataclass
-class SliceResult:
-    """Chain model of a slice: the telescope of plan.nodes, or the one piece.
-
-    The end fibers in plan.nodes include as coordinate blocks: the first
-    node's columns come first in each degree, the last node's follow the
-    dimensions of all the nodes before it.
-    """
-
-    complex: ChainComplex
-    plan: SlicePlan
+__all__ = ["ConstructibleRSpace"]
 
 
 class ConstructibleRSpace:
@@ -104,7 +70,7 @@ class ConstructibleRSpace:
             raise ValueError("need one left and one right map per gap")
         self._chain: dict = {}
         self._edge_maps: dict = {}
-        self._slices: dict = {}
+        self._telescope: ChainComplex | None = None
         self._homology: dict = {}
 
     # -- structural validation ----------------------------------------------
@@ -177,61 +143,39 @@ class ConstructibleRSpace:
             self._edge_maps[i] = (lm, rm)
         return self._edge_maps[i]
 
-    # -- slices ----------------------------------------------------------------
+    # -- the telescope and its slices -----------------------------------------
 
-    def slice_plan(self, p: float, q: float) -> SlicePlan:
+    def telescope(self) -> ChainComplex:
+        """The levelset telescope V_0 <- E_0 -> V_1 ... V_n of the whole space."""
+        if self._telescope is None:
+            n = self.n_critical
+            self._telescope = telescope(
+                [self.piece_chain(("V", i)) for i in range(n)],
+                [(self.piece_chain(("E", i)), *self.edge_chain_maps(i)) for i in range(n - 1)])
+        return self._telescope
+
+    def columns_over(self, p: float, q: float) -> dict[int, list[int]]:
+        """Per degree, the telescope columns of the cells lying over [p, q].
+
+        V_i lies over a_i and the cylinder of E_i over [a_i, a_{i+1}]; a cell
+        is kept when its whole interval is inside [p, q].
+        """
+        vals = self.critical_values
+        return {k: [j for j, (kind, i, _) in enumerate(labels)
+                    if p <= vals[i] and (vals[i] if kind == "v" else vals[i + 1]) <= q]
+                for k, labels in self.telescope().labels.items()}
+
+    def slice_plan(self, p: float, q: float) -> tuple:
+        """(lo, hi, fiber at p, fiber at q) of the slice f^{-1}[p, q].
+
+        a_lo..a_hi are the critical values inside [p, q], and lo > hi when
+        there are none.  Slices with the same plan share one chain model.
+        """
         if not p <= q:
             raise ValueError(f"need p <= q, got [{p}, {q}]")
         vals = self.critical_values
-        fp, fq = self._piece_key(p), self._piece_key(q)
-        if p == q:
-            return SlicePlan((fp,) if fp else (), fp, fq)
-        lo = bisect_left(vals, p) if p > -math.inf else 0
-        hi = (bisect_right(vals, q) - 1) if q < math.inf else len(vals) - 1
-        if lo > hi:
-            # no critical value inside [p, q]: a single gap piece or nothing
-            nodes = ((("E", hi),) if 0 <= hi < len(vals) - 1 and p > vals[0] else ())
-            return SlicePlan(nodes, fp, fq)
-        nodes: list[tuple[str, int]] = []
-        if fp == ("E", lo - 1):
-            nodes.append(fp)
-        nodes.extend(("V", i) for i in range(lo, hi + 1))
-        if fq == ("E", hi):
-            nodes.append(fq)
-        return SlicePlan(tuple(nodes), fp, fq)
-
-    def slice(self, p: float, q: float) -> SliceResult:
-        plan = self.slice_plan(p, q)
-        cached = self._slices.get(plan)
-        if cached is not None:
-            return cached
-        result = self._build_slice(plan)
-        self._slices[plan] = result
-        return result
-
-    def _build_slice(self, plan: SlicePlan) -> SliceResult:
-        if len(plan.nodes) <= 1:
-            return SliceResult(self.piece_chain(plan.nodes[0] if plan.nodes else None), plan)
-        node_chains = [self.piece_chain(k) for k in plan.nodes]
-        edges = []
-        for a, b in zip(plan.nodes, plan.nodes[1:]):
-            if a[0] == "V" and b[0] == "V":
-                if b[1] != a[1] + 1:
-                    raise ValueError(f"slice plan skips from {a} to {b}")
-                E = self.piece_chain(("E", a[1]))
-                lm, rm = self.edge_chain_maps(a[1])
-                edges.append((E, lm, rm))
-            elif a[0] == "E":
-                # free gap fiber kept as the left end; connects to V_{i+1}
-                E = self.piece_chain(a)
-                _, rm = self.edge_chain_maps(a[1])
-                edges.append((E, _identity(E), rm))
-            else:
-                # V then free gap fiber on the right; connects via l
-                E = self.piece_chain(b)
-                lm, _ = self.edge_chain_maps(b[1])
-                edges.append((E, lm, _identity(E)))
-        return SliceResult(telescope(node_chains, edges), plan)
+        return (bisect_left(vals, p), bisect_right(vals, q) - 1,
+                self._piece_key(p), self._piece_key(q))
 
     # -- homology with plan-level caching ---------------------------------------
 
@@ -261,19 +205,46 @@ class ConstructibleRSpace:
 
     def slice_homology(self, p: float, q: float, k: int
                        ) -> tuple[HomologyBasis, np.ndarray, np.ndarray]:
-        """H_k of the slice and the two induced maps from the end fibers."""
-        sl = self.slice(p, q)
-        plan = sl.plan
+        """H_k of the slice and the two induced maps from the end fibers.
+
+        With no critical value in [p, q] the slice is its one gap piece (or
+        empty) and both maps are the identity.  Otherwise H_k is taken on
+        the telescope columns over [a_lo, a_hi]; an end fiber at a critical
+        value includes as its V block, and one in a gap maps into the V
+        block it abuts through r_{lo-1} or l_hi.
+        """
+        plan = self.slice_plan(p, q)
         key = ("slice", plan, k)
         if key not in self._homology:
-            h = homology(sl.complex, k)
-            # an end fiber outside plan.nodes is empty and maps no column
-            dims = [self.piece_chain(n).dim(k) for n in plan.nodes]
-            at_p = range(dims[0]) if plan.nodes and plan.fiber_p == plan.nodes[0] else []
-            off = sum(dims[:-1])
-            at_q = (range(off, off + dims[-1])
-                    if plan.nodes and plan.fiber_q == plan.nodes[-1] else [])
-            mp = induced_homology_map(self.fiber_homology(p, k), h, at_p)
-            mq = induced_homology_map(self.fiber_homology(q, k), h, at_q)
+            lo, hi, fp, fq = plan
+            hp, hq = self.piece_homology(fp, k), self.piece_homology(fq, k)
+            if lo > hi:
+                h = hp
+                mp = mq = self.field.identity(h.rank)
+            else:
+                vals = self.critical_values
+                S, _ = subcomplex(self.telescope(), self.columns_over(vals[lo], vals[hi]))
+                h = homology(S, k)
+                # the V blocks of S come first, in order
+                off = sum(self.piece_chain(("V", i)).dim(k) for i in range(lo, hi))
+                mp = induced_homology_map(hp, h, *self._end_columns(fp, "right", 0, k))
+                mq = induced_homology_map(hq, h, *self._end_columns(fq, "left", off, k))
             self._homology[key] = (h, mp, mq)
         return self._homology[key]
+
+    def _end_columns(self, fiber: tuple[str, int] | None, side: str, offset: int,
+                     k: int) -> tuple:
+        """Degree-k column map of an end fiber into the V block at offset.
+
+        A critical fiber is that block; a gap fiber E_i maps into it by r_i
+        (side "right", at the lower end) or l_i (side "left", at the upper).
+        """
+        if fiber is None:
+            return (), ()
+        if fiber[0] == "V":
+            n = self.piece_chain(fiber).dim(k)
+            return np.arange(offset, offset + n), np.ones(n, dtype=np.int64)
+        lm, rm = self.edge_chain_maps(fiber[1])
+        cols, coefs = (rm if side == "right" else lm).get(k, ((), ()))
+        cols = np.asarray(cols, dtype=np.int64)
+        return np.where(cols >= 0, cols + offset, -1), coefs

@@ -135,6 +135,14 @@ class TestBottleneck:
         # infinite ends do not count towards the span
         assert bottleneck_distance([(-INF, -1e308)], [(7e307, INF)]) == INF
 
+    @pytest.mark.parametrize("bad", [(2.0, 1.0), (1.0, -INF), (INF, 0.0),
+                                     (math.nan, 1.0), (0.0, math.nan)])
+    def test_point_below_diagonal_or_nan_rejected(self, bad):
+        with pytest.raises(ValueError, match="need p <= q"):
+            bottleneck_distance([bad], [])
+        with pytest.raises(ValueError, match="need p <= q"):
+            bottleneck_distance([(0.0, 1.0)], Counter({bad: 1}))
+
 
 def chain(n: int, length: float = 1000.0):
     """Diagrams matched at cost 1/2 only through an n-step augmenting path.

@@ -1,11 +1,13 @@
 """Homology maps of column maps against the dense route.
 
 The library computes each homology group in the coordinates of its cycle
-basis and every chain map (the attaching maps l_i and r_i, slice end-fiber
-inclusions, the seven extended-module arrows) as a column map.  Here the
-same matrices are rebuilt the dense way: homology through an inverted basis
-extension, l_i and r_i straight from the vertex tables and coordinate maps
-as 0/1 blocks, each a commutation-checked dense chain map, multiplied out.
+basis and every chain map (the attaching maps l_i and r_i, the end-fiber
+maps into slices, the seven extended-module arrows) as a column map.  Here
+the same matrices are rebuilt the dense way: homology through an inverted
+basis extension, l_i and r_i straight from the vertex tables and coordinate
+maps as 0/1 blocks, each a commutation-checked dense chain map, multiplied
+out.  Slices, sublevel and superlevel sets are picked out of the space's
+telescope by the block labels of its columns.
 The arrows of the levelset zigzag, the rectangle modules and the extended
 modules must come out byte for byte the same, on every corpus space and a
 few more random ones, in three characteristics.
@@ -18,8 +20,7 @@ import numpy as np
 import pytest
 
 from paramhom.complexes import quotient_complex, subcomplex
-from paramhom.extended import (_sublevel_columns, _superlevel_columns, _whole_telescope,
-                               extended_module)
+from paramhom.extended import extended_module
 from paramhom.fieldlin import PrimeField
 from paramhom.levelset import levelset_zigzag
 from paramhom.measures import rectangle_module
@@ -49,26 +50,50 @@ def _assert_same(got: np.ndarray, want: np.ndarray) -> None:
     assert got.tobytes() == want.tobytes()
 
 
-def _end_inclusion(X, sl, fiber, end: int) -> ChainMap:
-    """Dense inclusion of an end fiber into a slice, located by its labels."""
-    F, C, nodes = X.piece_chain(fiber), sl.complex, sl.plan.nodes
-    if not nodes or fiber != nodes[end]:
-        return ChainMap(F, C, {})
-    tag = (lambda x: x) if len(nodes) == 1 else (lambda x: ("v", end % len(nodes), x))
-    kept = {k: [C.labels[k].index(tag(x)) for x in F.labels[k]] for k in F.degrees()}
-    return dense_coordinate_map(C, F, kept, C, {k: range(C.dim(k)) for k in C.degrees()})
+def _blocks(T, keep) -> dict:
+    """Per degree, the telescope columns of the blocks ("v" or "e", i) kept."""
+    return {k: [j for j, (tag, i, _) in enumerate(labels) if keep(tag, i)]
+            for k, labels in T.labels.items()}
+
+
+def _block_inclusion(S, i, F) -> ChainMap:
+    """Dense inclusion of the critical fiber F = V_i into S, found by labels."""
+    kept = {k: [S.labels[k].index(("v", i, x)) for x in F.labels[k]] for k in F.degrees()}
+    return dense_coordinate_map(S, F, kept, S, {k: range(S.dim(k)) for k in S.degrees()})
+
+
+def _end_map(X, S, fiber, i, vmaps) -> ChainMap:
+    """Dense map of an end fiber into S: into the block of V_i, through the
+    vertex table vmaps[gap] when the fiber is a gap fiber."""
+    F = X.piece_chain(fiber)
+    if fiber is None:
+        return ChainMap(F, S, {})
+    V = X.piece_chain(("V", i))
+    into = _block_inclusion(S, i, V)
+    if fiber[0] == "V":
+        return into
+    f = dense_simplicial_map(vmaps[fiber[1]], F, V)
+    return ChainMap(F, S, {k: X.field.matmul(into.matrix(k), f.matrix(k))
+                           for k in F.degrees()})
 
 
 def _dense_slice(X, p, q, k, cache):
-    sl = X.slice(p, q)
-    key = (sl.plan, k)
+    plan = X.slice_plan(p, q)
+    key = (plan, k)
     if key not in cache:
-        h = dense_homology(sl.complex, k)
-        ends = []
-        for fiber, end in ((sl.plan.fiber_p, 0), (sl.plan.fiber_q, -1)):
-            f = _end_inclusion(X, sl, fiber, end)
-            ends.append(dense_homology_map(f, dense_homology(f.src, k), h))
-        cache[key] = (h, *ends)
+        lo, hi, fp, fq = plan
+        if lo > hi:  # inside one gap or off the support: the end fiber itself
+            S = X.piece_chain(fp)
+            ends = [ChainMap(S, S, {d: np.eye(S.dim(d), dtype=np.int64)
+                                    for d in S.degrees()})] * 2
+        else:
+            S, _ = subcomplex(X.telescope(), _blocks(
+                X.telescope(), lambda tag, i: lo <= i and i + (tag == "e") <= hi))
+            ends = [_end_map(X, S, fp, lo, X.right_maps),
+                    _end_map(X, S, fq, hi, X.left_maps)]
+        h = dense_homology(S, k)
+        cache[key] = (h, *(dense_homology_map(f, dense_homology(f.src, k), h)
+                           for f in ends))
     return cache[key]
 
 
@@ -89,10 +114,11 @@ def _dense_levelset_arrows(X, k) -> list:
 
 
 def _dense_extended_arrows(X, k, R) -> list:
-    corners = (R.a, R.b, R.c, R.d)
-    full = _whole_telescope(X)
-    pieces = ([subcomplex(full, _sublevel_columns(X, full, t)) for t in corners]
-              + [quotient_complex(full, _superlevel_columns(X, full, t))
+    corners, vals = (R.a, R.b, R.c, R.d), X.critical_values
+    full = X.telescope()
+    pieces = ([subcomplex(full, _blocks(full, lambda tag, i: vals[i + (tag == "e")] <= t))
+               for t in corners]
+              + [quotient_complex(full, _blocks(full, lambda tag, i: vals[i] >= t))
                  for t in reversed(corners)])
     bases = [dense_homology(C, k) for C, _ in pieces]
     return [dense_homology_map(dense_coordinate_map(full, *src, *tgt), hs, ht)

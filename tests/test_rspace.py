@@ -1,12 +1,18 @@
 from __future__ import annotations
 
+import importlib
 import math
+import pkgutil
 import random
 
 import pytest
 
+import paramhom
+from paramhom import complexes
 from paramhom.complexes import SimplicialComplex, homology
+from paramhom.extended import extended_profile
 from paramhom.fieldlin import PrimeField
+from paramhom.measures import measure_profile
 from paramhom.rspace import ConstructibleRSpace
 
 import corpus
@@ -34,8 +40,7 @@ GLOBAL_HOMOLOGY = {
 
 
 def slice_ranks(X, p, q, top=3):
-    C = X.slice(p, q).complex
-    return tuple(homology(C, k).rank for k in range(top))
+    return tuple(X.slice_homology(p, q, k)[0].rank for k in range(top))
 
 
 @pytest.mark.parametrize("name", sorted(GLOBAL_HOMOLOGY))
@@ -81,23 +86,33 @@ def test_point_slices_match_levelsets():
 
     X = corpus.vertical_torus()
     for t in (-1.0, 0.0, 0.3, 1.0, 1.7, 2.0, 2.5, 3.0, 99.0):
-        sl = X.slice(t, t)
         fiber_chain = chain_complex(X.levelset(t), X.field)
         for k in (0, 1):
-            assert homology(sl.complex, k).rank == homology(fiber_chain, k).rank
-        assert sl.complex.dim(0) == fiber_chain.dim(0)
+            h = X.slice_homology(t, t, k)[0]
+            assert h.rank == homology(fiber_chain, k).rank
+            assert h.complex.dim(0) == fiber_chain.dim(0)
 
 
 def test_slice_plans():
+    # (lo, hi, fiber at p, fiber at q), a_lo..a_hi the critical values inside
     X = corpus.circle()
-    assert X.slice_plan(0.2, 0.8).nodes == (("E", 0),)
-    assert X.slice_plan(0.0, 0.8).nodes == (("V", 0), ("E", 0))
-    assert X.slice_plan(-2.0, 0.8).nodes == (("V", 0), ("E", 0))
-    assert X.slice_plan(-2.0, -1.0).nodes == ()
-    assert X.slice_plan(2.0, 3.0).nodes == ()
-    assert X.slice_plan(-INF, INF).nodes == (("V", 0), ("V", 1))
-    with pytest.raises(ValueError):
-        X.slice_plan(1.0, 0.0)
+    assert X.critical_values == (0.0, 1.0)
+    # inside one gap: no critical value, lo > hi
+    assert X.slice_plan(0.2, 0.8) == (1, 0, ("E", 0), ("E", 0))
+    # a critical end and a gap end
+    assert X.slice_plan(0.0, 0.8) == (0, 0, ("V", 0), ("E", 0))
+    assert X.slice_plan(0.2, 1.0) == (1, 1, ("E", 0), ("V", 1))
+    assert X.slice_plan(-2.0, 0.8) == (0, 0, None, ("E", 0))
+    # both ends outside the support, on the same side
+    assert X.slice_plan(-2.0, -1.0) == (0, -1, None, None)
+    assert X.slice_plan(2.0, 3.0) == (2, 1, None, None)
+    # infinite ends
+    assert X.slice_plan(-INF, INF) == (0, 1, None, None)
+    assert X.slice_plan(-INF, 0.5) == (0, 0, None, ("E", 0))
+    assert X.slice_plan(1.0, INF) == (1, 1, ("V", 1), None)
+    for p, q in ((1.0, 0.0), (math.nan, 1.0), (0.0, math.nan)):
+        with pytest.raises(ValueError):
+            X.slice_plan(p, q)
 
 
 def test_circle_slices():
@@ -130,11 +145,11 @@ def test_fiber_inclusion_maps():
 
 def test_sublevel_superlevel():
     X = corpus.circle()
-    assert homology(X.slice(-INF, 0.5).complex, 0).rank == 1
-    assert homology(X.slice(-INF, 0.5).complex, 1).rank == 0
-    assert homology(X.slice(-INF, 1.0).complex, 1).rank == 1
-    assert homology(X.slice(0.5, INF).complex, 0).rank == 1
-    assert homology(X.slice(-9.0, INF).complex, 1).rank == 1
+    assert X.slice_homology(-INF, 0.5, 0)[0].rank == 1
+    assert X.slice_homology(-INF, 0.5, 1)[0].rank == 0
+    assert X.slice_homology(-INF, 1.0, 1)[0].rank == 1
+    assert X.slice_homology(0.5, INF, 0)[0].rank == 1
+    assert X.slice_homology(-9.0, INF, 1)[0].rank == 1
 
 
 def test_regular_interval_invariance():
@@ -177,5 +192,29 @@ def test_random_spaces_are_valid():
     for _ in range(25):
         X = corpus.random_space(rng)
         assert X.validate() == []
-        # full slice must build and have consistent chain data
-        X.slice(-INF, INF)
+        # the full slice must build and have consistent chain data
+        for k in range(max(X.max_piece_dimension(), 0) + 1):
+            X.slice_homology(-INF, INF, k)
+
+
+def test_one_telescope_per_space(monkeypatch):
+    # slices, sublevel sets and superlevel sets are all columns of X.telescope()
+    built = []
+
+    def counting(*args):
+        built.append(args)
+        return original(*args)
+
+    original = complexes.telescope
+    for mod in pkgutil.iter_modules(paramhom.__path__):
+        module = importlib.import_module(f"paramhom.{mod.name}")
+        if getattr(module, "telescope", None) is original:
+            monkeypatch.setattr(module, "telescope", counting)
+    rng = random.Random(12)
+    for name, X in corpus.corpus().items():
+        built.clear()
+        for R in [corpus.random_rectangle(rng, X.critical_values) for _ in range(2)]:
+            for k in (0, 1):
+                extended_profile(X, k, R)
+            measure_profile(X, 0, R)
+        assert len(built) == 1, name
