@@ -17,8 +17,9 @@ whole diagrams.
 
 Sublevel and relative complexes are column sets of the space's own cached
 telescope (`X.telescope()`): X^t spans the columns over (-inf, t] and X_t
-those over [t, inf), the same selection rule that carves out the slices of
-the rectangle measures.  So the seven chain maps are coordinate inclusions,
+those over [t, inf).  A slice of the rectangle measures is the same
+telescope's window over its critical values (`X.telescope(lo, hi)`), the
+columns over them.  So the seven chain maps are coordinate inclusions,
 coordinate projections, and composites of the two: each sends a kept
 column of the telescope to the same column in its target, or to 0 where
 the target quotients it away.

@@ -12,8 +12,10 @@ and superlevel set is a set of telescope columns (`columns_over`).
 A slice f^{-1}[p, q] holding the critical values a_lo..a_hi retracts onto
 the columns over [a_lo, a_hi]: an end p in the gap below a_lo snaps to a_lo
 through the cylinder of r_{lo-1}, and an end q above a_hi to a_hi through
-that of l_hi.  Slices with the same lo, hi and end fibers are therefore
-the same, so their homology is cached per such plan, not per numeric
+that of l_hi.  Those columns are the telescope of V_lo..V_hi alone, with
+its blocks in the same order, so a slice builds (and caches) only that
+window, never the whole space.  Slices with the same lo, hi and end fibers
+are the same, so their homology is cached per such plan, not per numeric
 rectangle.  Instances are treated as immutable after construction.
 """
 
@@ -34,7 +36,6 @@ from .complexes import (
     homology,
     induced_chain_map,
     induced_homology_map,
-    subcomplex,
     telescope,
 )
 from .fieldlin import PrimeField
@@ -70,7 +71,7 @@ class ConstructibleRSpace:
             raise ValueError("need one left and one right map per gap")
         self._chain: dict = {}
         self._edge_maps: dict = {}
-        self._telescope: ChainComplex | None = None
+        self._telescopes: dict = {}
         self._homology: dict = {}
 
     # -- structural validation ----------------------------------------------
@@ -145,14 +146,19 @@ class ConstructibleRSpace:
 
     # -- the telescope and its slices -----------------------------------------
 
-    def telescope(self) -> ChainComplex:
-        """The levelset telescope V_0 <- E_0 -> V_1 ... V_n of the whole space."""
-        if self._telescope is None:
-            n = self.n_critical
-            self._telescope = telescope(
-                [self.piece_chain(("V", i)) for i in range(n)],
-                [(self.piece_chain(("E", i)), *self.edge_chain_maps(i)) for i in range(n - 1)])
-        return self._telescope
+    def telescope(self, lo: int = 0, hi: int | None = None) -> ChainComplex:
+        """The levelset telescope V_lo <- E_lo -> ... V_hi, cached per window.
+
+        By default the whole space.  The window is the subcomplex of the
+        whole telescope over [a_lo, a_hi], with its blocks in the same order;
+        its labels number them from 0, not from lo.
+        """
+        hi = self.n_critical - 1 if hi is None else hi
+        if (lo, hi) not in self._telescopes:
+            self._telescopes[lo, hi] = telescope(
+                [self.piece_chain(("V", i)) for i in range(lo, hi + 1)],
+                [(self.piece_chain(("E", i)), *self.edge_chain_maps(i)) for i in range(lo, hi)])
+        return self._telescopes[lo, hi]
 
     def columns_over(self, p: float, q: float) -> dict[int, list[int]]:
         """Per degree, the telescope columns of the cells lying over [p, q].
@@ -209,7 +215,7 @@ class ConstructibleRSpace:
 
         With no critical value in [p, q] the slice is its one gap piece (or
         empty) and both maps are the identity.  Otherwise H_k is taken on
-        the telescope columns over [a_lo, a_hi]; an end fiber at a critical
+        the telescope of the window [a_lo, a_hi]; an end fiber at a critical
         value includes as its V block, and one in a gap maps into the V
         block it abuts through r_{lo-1} or l_hi.
         """
@@ -222,10 +228,8 @@ class ConstructibleRSpace:
                 h = hp
                 mp = mq = self.field.identity(h.rank)
             else:
-                vals = self.critical_values
-                S, _ = subcomplex(self.telescope(), self.columns_over(vals[lo], vals[hi]))
-                h = homology(S, k)
-                # the V blocks of S come first, in order
+                h = homology(self.telescope(lo, hi), k)
+                # the V blocks of the window come first, in order
                 off = sum(self.piece_chain(("V", i)).dim(k) for i in range(lo, hi))
                 mp = induced_homology_map(hp, h, *self._end_columns(fp, "right", 0, k))
                 mq = induced_homology_map(hq, h, *self._end_columns(fq, "left", off, k))

@@ -10,9 +10,10 @@ import pytest
 import paramhom
 from paramhom import complexes
 from paramhom.complexes import SimplicialComplex, homology
+from paramhom.diagrams import Rectangle
 from paramhom.extended import extended_profile
 from paramhom.fieldlin import PrimeField
-from paramhom.measures import measure_profile
+from paramhom.measures import full_bar_count, measure_profile
 from paramhom.rspace import ConstructibleRSpace
 
 import corpus
@@ -197,24 +198,60 @@ def test_random_spaces_are_valid():
             X.slice_homology(-INF, INF, k)
 
 
-def test_one_telescope_per_space(monkeypatch):
-    # slices, sublevel sets and superlevel sets are all columns of X.telescope()
+@pytest.fixture
+def telescope_builds(monkeypatch) -> list[tuple]:
+    """The node chain complexes of every telescope built, as id tuples."""
     built = []
 
-    def counting(*args):
-        built.append(args)
-        return original(*args)
+    def counting(nodes, edges):
+        built.append(tuple(map(id, nodes)))
+        return original(nodes, edges)
 
     original = complexes.telescope
     for mod in pkgutil.iter_modules(paramhom.__path__):
         module = importlib.import_module(f"paramhom.{mod.name}")
         if getattr(module, "telescope", None) is original:
             monkeypatch.setattr(module, "telescope", counting)
+    return built
+
+
+def test_one_telescope_per_window(telescope_builds):
+    # extended pieces are columns of the whole telescope, built once per
+    # space; each slice window is built once, however many slices use it
     rng = random.Random(12)
     for name, X in corpus.corpus().items():
-        built.clear()
-        for R in [corpus.random_rectangle(rng, X.critical_values) for _ in range(2)]:
+        rects = [corpus.random_rectangle(rng, X.critical_values) for _ in range(2)]
+        telescope_builds.clear()
+        for R in rects:
             for k in (0, 1):
                 extended_profile(X, k, R)
-            measure_profile(X, 0, R)
-        assert len(built) == 1, name
+        assert len(telescope_builds) == 1, name
+        for R in rects + rects:
+            for k in (0, 1):
+                measure_profile(X, k, R)
+        assert len(set(telescope_builds)) == len(telescope_builds), name
+
+
+def test_narrow_slices_build_only_their_windows(telescope_builds):
+    # a rectangle around one level of a long tube never builds the whole space
+    X = corpus.tube_space(40, 5)
+    for k in (0, 1):
+        measure_profile(X, k, Rectangle(19.5, 20.5, 21.5, 22.5))
+        full_bar_count(X, k, 20.5, 21.5)
+    assert sorted(map(len, telescope_builds)) == [1, 1, 1]
+
+
+def test_window_is_columns_of_whole_telescope():
+    # the slice window [a_lo, a_hi] is the whole telescope's columns over it
+    for name, X in corpus.corpus(F3).items():
+        vals, n = X.critical_values, X.n_critical
+        full = X.telescope()
+        for lo in range(n):
+            for hi in range(lo, n):
+                S, _ = complexes.subcomplex(full, X.columns_over(vals[lo], vals[hi]))
+                W = X.telescope(lo, hi)
+                assert W.labels == {k: [(tag, i - lo, x) for tag, i, x in labels]
+                                    for k, labels in S.labels.items()}, (name, lo, hi)
+                for k in S.degrees():
+                    assert W.boundary(k).tobytes() == S.boundary(k).tobytes(), (name, lo, hi, k)
+        assert X.telescope(0, n - 1) is full
