@@ -15,7 +15,7 @@ from .extended import (ExtendedType, extended_diagrams, extended_direct,
                        extended_from_parametrized)
 from .fieldlin import PrimeField
 from .levelset import all_diagrams, levelset_zigzag, translate
-from .measures import measure_direct, measure_profile, measure_via_diagram
+from .measures import measure_direct, measure_profile
 from .rspace import ConstructibleRSpace
 from .zigzag import DecompositionError, ZigzagModule, decompose
 
@@ -45,7 +45,6 @@ __all__ = [
     "levelset_zigzag",
     "measure_direct",
     "measure_profile",
-    "measure_via_diagram",
     "stability_report",
     "translate",
     "__version__",

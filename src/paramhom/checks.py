@@ -139,13 +139,17 @@ def _dropped_node(mults: dict[tuple[int, int], int], k: int) -> Counter:
     return +out
 
 
-def restriction_suite(rng: random.Random, modules: int = 30, max_len: int = 8,
-                      max_dim: int = 5, characteristic: int = 2) -> CheckResult:
+# length, node dimension and field of the random modules restriction_suite draws
+RESTRICTION_MAX_LEN = 8
+RESTRICTION_MAX_DIM = 5
+RESTRICTION_FIELD = PrimeField(2)
+
+
+def restriction_suite(rng: random.Random, modules: int = 30) -> CheckResult:
     """Coarsening an interior node pushes the decomposition forward."""
-    field = PrimeField(characteristic)
     checked = 0
     for _ in range(modules):
-        Z = _random_zigzag(rng, field, max_len, max_dim)
+        Z = _random_zigzag(rng, RESTRICTION_FIELD, RESTRICTION_MAX_LEN, RESTRICTION_MAX_DIM)
         mults = decompose(Z)
         for k in range(2, Z.n):
             if Z.arrows[k - 2][0] != Z.arrows[k - 1][0]:

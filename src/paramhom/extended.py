@@ -15,14 +15,14 @@ measures, with a dimension shift of one for the two kinds that pass through
 relative homology; `extended_from_parametrized` applies that dictionary to
 whole diagrams.
 
-Sublevel and relative complexes are column sets of the space's own cached
-telescope (`X.telescope()`): X^t spans the columns over (-inf, t] and X_t
-those over [t, inf).  A slice of the rectangle measures is the same
-telescope's window over its critical values (`X.telescope(lo, hi)`), the
-columns over them.  So the seven chain maps are coordinate inclusions,
-coordinate projections, and composites of the two: each sends a kept
-column of the telescope to the same column in its target, or to 0 where
-the target quotients it away.
+Each piece comes from the cached telescope windows that slices use (see
+rspace).  X^t is the slice (-inf, t].  (X, X_t) comes by excision: with
+a_j the first critical value >= t, every telescope cell lies over
+(-inf, a_j] or over [a_j, inf), and the two meet in V_j, so
+C(X)/C(X_{a_j}) is C(X^{a_j})/C(V_j), the window (0, j) modulo its V_j
+block, cell for cell in the same order (the whole telescope when no a_j
+>= t).  Windows from 0 label cells as the whole telescope does, so each
+arrow sends a source cell to the target cell with the same label, or to 0.
 
 A corner t in a gap (a_i, a_{i+1}) snaps to a critical value, as a gap end
 of a slice does: X^t is taken as the telescope of X^{a_i} and X_t as that
@@ -37,10 +37,11 @@ critical value and no new space.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from enum import Enum
 from typing import Mapping
 
-from .complexes import homology, induced_homology_map, quotient_complex, subcomplex
+from .complexes import ChainComplex, homology, induced_homology_map, quotient_complex
 from .diagrams import BehaviorType, DecoratedDiagram, Rectangle
 from .levelset import all_diagrams
 from .rspace import ConstructibleRSpace
@@ -88,20 +89,27 @@ PARAMETRIZED: dict[ExtendedType, tuple[BehaviorType, int]] = {
 }
 
 
+def _relative(X: ConstructibleRSpace, t: float) -> ChainComplex:
+    """The chain complex of the pair (X, X_t), by excision."""
+    j = bisect_left(X.critical_values, t)
+    if j == X.n_critical:
+        return X.telescope()
+    W = X.telescope(0, j)
+    return quotient_complex(W, {k: [c for c, (tag, i, _) in enumerate(labels)
+                                    if tag == "v" and i == j]
+                                for k, labels in W.labels.items()})[0]
+
+
 def extended_module(X: ConstructibleRSpace, k: int, R: Rectangle) -> ZigzagModule:
     """Degree-k homology of the eight-node filtration selected by R."""
     corners = (R.a, R.b, R.c, R.d)
-    full = X.telescope()
-    # each piece with the telescope columns it keeps, in filtration order
-    pieces = ([subcomplex(full, X.columns_over(-math.inf, t)) for t in corners]
-              + [quotient_complex(full, X.columns_over(t, math.inf))
-                 for t in reversed(corners)])
-    bases = [homology(C, k) for C, _ in pieces]
+    bases = ([X.slice_homology(-math.inf, t, k)[0] for t in corners]
+             + [homology(_relative(X, t), k) for t in reversed(corners)])
     arrows = []
-    for (_, src), (_, tgt), h_src, h_tgt in zip(pieces, pieces[1:], bases, bases[1:]):
-        position = {c: j for j, c in enumerate(tgt.get(k, []))}
-        columns = [position.get(c, -1) for c in src.get(k, [])]
-        arrows.append((FORWARD, induced_homology_map(h_src, h_tgt, columns)))
+    for src, tgt in zip(bases, bases[1:]):
+        position = {x: c for c, x in enumerate(tgt.complex.labels.get(k, []))}
+        columns = [position.get(x, -1) for x in src.complex.labels.get(k, [])]
+        arrows.append((FORWARD, induced_homology_map(src, tgt, columns)))
     annotations = tuple([("sub", t) for t in corners]
                         + [("rel", t) for t in reversed(corners)])
     return ZigzagModule(X.field, [h.rank for h in bases], arrows, annotations)

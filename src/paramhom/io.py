@@ -160,15 +160,20 @@ def parse_space(doc: Any) -> tuple[ConstructibleRSpace, int]:
     return X, max_dim
 
 
-def load_space(path: str) -> tuple[ConstructibleRSpace, int]:
+def _load_json(path: str) -> Any:
     try:
         with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
+            return json.load(fh)
     except OSError as e:
         raise InputError(f"cannot read {path}: {e}") from e
     except ValueError as e:  # bad JSON, bad UTF-8, or an over-long integer
         raise InputError(f"{path}: {e}") from e
-    return parse_space(doc)
+    except RecursionError:
+        raise InputError(f"{path}: JSON nested too deeply") from None
+
+
+def load_space(path: str) -> tuple[ConstructibleRSpace, int]:
+    return parse_space(_load_json(path))
 
 
 # -- diagram documents ----------------------------------------------------------
@@ -221,14 +226,7 @@ def parse_diagram(doc: Any) -> list[dict]:
 
 
 def load_diagram(path: str) -> list[dict]:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except OSError as e:
-        raise InputError(f"cannot read {path}: {e}") from e
-    except ValueError as e:  # bad JSON, bad UTF-8, or an over-long integer
-        raise InputError(f"{path}: {e}") from e
-    return parse_diagram(doc)
+    return parse_diagram(_load_json(path))
 
 
 def entry_multiset(entries: list[dict], dim: int, btype: BehaviorType) -> Counter:

@@ -11,14 +11,14 @@ at position 3 or 5), "expired" means it survives the outer slice but not
 the outer fiber (interval ends at 2 or 6).  The measure of each behaviour
 type is the corresponding interval multiplicity.
 
-The same numbers are obtained by counting decorated diagram points inside R;
-`measure_via_diagram` does the counting, and the test suite exercises the
-agreement of the two routes.
+The same numbers are obtained by counting decorated diagram points inside R
+(`DecoratedDiagram.count_in`), and the test suite exercises the agreement
+of the two routes.
 """
 
 from __future__ import annotations
 
-from .diagrams import BehaviorType, DecoratedDiagram, Rectangle
+from .diagrams import BehaviorType, Rectangle
 from .rspace import ConstructibleRSpace
 from .zigzag import BACKWARD, FORWARD, ZigzagModule, decompose
 
@@ -27,7 +27,6 @@ __all__ = [
     "rectangle_module",
     "measure_direct",
     "measure_profile",
-    "measure_via_diagram",
     "full_bar_count",
 ]
 
@@ -76,11 +75,6 @@ def measure_profile(X: ConstructibleRSpace, k: int, R: Rectangle
 def measure_direct(X: ConstructibleRSpace, k: int, t: BehaviorType,
                    R: Rectangle) -> int:
     return measure_profile(X, k, R)[t]
-
-
-def measure_via_diagram(D: DecoratedDiagram, R: Rectangle) -> int:
-    """Count of decorated points of D lying in R."""
-    return D.count_in(R)
 
 
 def full_bar_count(X: ConstructibleRSpace, k: int, b: float, c: float) -> int:

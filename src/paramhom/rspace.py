@@ -6,17 +6,18 @@ vertex maps l_i: E_i -> V_i, r_i: E_i -> V_{i+1} describing how the regular
 fiber collapses onto the critical ones.  The chain maps of l_i and r_i are
 column maps (see complexes), read by the attachment homology maps and by
 the one chain model of the space, its levelset telescope: V_i lies over a_i
-and the cylinder of E_i over [a_i, a_{i+1}], so every slice, sublevel set
-and superlevel set is a set of telescope columns (`columns_over`).
+and the cylinder of E_i over [a_i, a_{i+1}].  It is built and cached only
+per window `telescope(lo, hi)`, the telescope of V_lo..V_hi alone, which
+is the whole telescope's cells over [a_lo, a_hi] with blocks in the same
+order; a window from 0 labels its cells as the whole telescope does.
 
 A slice f^{-1}[p, q] holding the critical values a_lo..a_hi retracts onto
-the columns over [a_lo, a_hi]: an end p in the gap below a_lo snaps to a_lo
-through the cylinder of r_{lo-1}, and an end q above a_hi to a_hi through
-that of l_hi.  Those columns are the telescope of V_lo..V_hi alone, with
-its blocks in the same order, so a slice builds (and caches) only that
-window, never the whole space.  Slices with the same lo, hi and end fibers
-are the same, so their homology is cached per such plan, not per numeric
-rectangle.  Instances are treated as immutable after construction.
+that window: an end p in the gap below a_lo snaps to a_lo through the
+cylinder of r_{lo-1}, and an end q above a_hi to a_hi through that of l_hi.
+So the sublevel set X^t is the slice (-inf, t].  Slices with the same lo,
+hi and end fibers are the same, so their homology is cached per such plan,
+not per numeric rectangle.  Instances are treated as immutable after
+construction.
 """
 
 from __future__ import annotations
@@ -118,16 +119,20 @@ class ConstructibleRSpace:
         return ("E", i - 1)
 
     def piece(self, key: tuple[str, int] | None) -> SimplicialComplex:
-        if key is None:
-            return SimplicialComplex()
-        kind, i = key
-        return self.vertex_complexes[i] if kind == "V" else self.edge_complexes[i]
+        """The fiber None (empty), ("V", i) for i < n or ("E", i) for i < n - 1."""
+        match key:
+            case None:
+                return SimplicialComplex()
+            case ("V", int(i)) if 0 <= i < self.n_critical:
+                return self.vertex_complexes[i]
+            case ("E", int(i)) if 0 <= i < self.n_critical - 1:
+                return self.edge_complexes[i]
+        raise ValueError(f"no piece {key!r} in a space with {self.n_critical} critical values")
 
     def piece_chain(self, key: tuple[str, int] | None) -> ChainComplex:
-        ck = key or ("empty", -1)
-        if ck not in self._chain:
-            self._chain[ck] = chain_complex(self.piece(key), self.field)
-        return self._chain[ck]
+        if key not in self._chain:
+            self._chain[key] = chain_complex(self.piece(key), self.field)
+        return self._chain[key]
 
     def levelset(self, t: float) -> SimplicialComplex:
         return self.piece(self._piece_key(t))
@@ -135,8 +140,8 @@ class ConstructibleRSpace:
     def edge_chain_maps(self, i: int) -> tuple[ColumnMap, ColumnMap]:
         """Column maps of the induced l_i: E_i -> V_i and r_i: E_i -> V_{i+1}."""
         if i not in self._edge_maps:
-            E = self.edge_complexes[i]
             CE = self.piece_chain(("E", i))
+            E = self.edge_complexes[i]
             lm = induced_chain_map(self.left_maps[i], E, self.vertex_complexes[i],
                                    CE, self.piece_chain(("V", i)))
             rm = induced_chain_map(self.right_maps[i], E, self.vertex_complexes[i + 1],
@@ -149,27 +154,17 @@ class ConstructibleRSpace:
     def telescope(self, lo: int = 0, hi: int | None = None) -> ChainComplex:
         """The levelset telescope V_lo <- E_lo -> ... V_hi, cached per window.
 
-        By default the whole space.  The window is the subcomplex of the
-        whole telescope over [a_lo, a_hi], with its blocks in the same order;
-        its labels number them from 0, not from lo.
+        By default the whole space; labels number the blocks from 0, not from
+        lo.  Raises ValueError unless 0 <= lo <= hi < n_critical.
         """
         hi = self.n_critical - 1 if hi is None else hi
+        if not 0 <= lo <= hi < self.n_critical:
+            raise ValueError(f"no window ({lo}, {hi}) of critical values 0..{self.n_critical - 1}")
         if (lo, hi) not in self._telescopes:
             self._telescopes[lo, hi] = telescope(
                 [self.piece_chain(("V", i)) for i in range(lo, hi + 1)],
                 [(self.piece_chain(("E", i)), *self.edge_chain_maps(i)) for i in range(lo, hi)])
         return self._telescopes[lo, hi]
-
-    def columns_over(self, p: float, q: float) -> dict[int, list[int]]:
-        """Per degree, the telescope columns of the cells lying over [p, q].
-
-        V_i lies over a_i and the cylinder of E_i over [a_i, a_{i+1}]; a cell
-        is kept when its whole interval is inside [p, q].
-        """
-        vals = self.critical_values
-        return {k: [j for j, (kind, i, _) in enumerate(labels)
-                    if p <= vals[i] and (vals[i] if kind == "v" else vals[i + 1]) <= q]
-                for k, labels in self.telescope().labels.items()}
 
     def slice_plan(self, p: float, q: float) -> tuple:
         """(lo, hi, fiber at p, fiber at q) of the slice f^{-1}[p, q].

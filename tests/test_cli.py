@@ -331,6 +331,19 @@ class TestPlot:
 
 
 class TestUsage:
+    @pytest.mark.parametrize("command", [
+        ["diagram", "DEEP"],
+        ["plot", "DEEP"],
+        ["bottleneck", "DEEP", "DEEP", "--dim", "0", "--type", "cc"],
+        ["stability", "DEEP", "DEEP"],
+    ])
+    def test_deeply_nested_json_exit_2(self, tmp_path, capsys, command):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 200000 + "]" * 200000)
+        assert main([str(path) if arg == "DEEP" else arg for arg in command]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+
     def test_unknown_type_code(self, circle_path):
         with pytest.raises(SystemExit) as exc:
             main(["measure", circle_path, "--type", "xx", "--dim", "0",

@@ -9,7 +9,6 @@ from paramhom.measures import (
     full_bar_count,
     measure_direct,
     measure_profile,
-    measure_via_diagram,
     rectangle_module,
 )
 
@@ -93,11 +92,11 @@ class TestGoldenMeasures:
         wide = Rectangle(-0.5, 0.5, 2.5, 3.5)
         assert measure_profile(X, 1, wide) == {OO: 1, CO: 0, OC: 0, CC: 0}
 
-    def test_measure_via_diagram_examples(self):
+    def test_count_in_examples(self):
         D = DecoratedDiagram({bar(0.0, 1.0, CC): 1})
-        assert measure_via_diagram(D, Rectangle(-1.0, 0.0, 1.0, 2.0)) == 1
-        assert measure_via_diagram(D, Rectangle(-1.0, -0.5, 1.0, 2.0)) == 0
-        assert measure_via_diagram(DecoratedDiagram(), Rectangle(0.0, 1.0, 2.0, 3.0)) == 0
+        assert D.count_in(Rectangle(-1.0, 0.0, 1.0, 2.0)) == 1
+        assert D.count_in(Rectangle(-1.0, -0.5, 1.0, 2.0)) == 0
+        assert DecoratedDiagram().count_in(Rectangle(0.0, 1.0, 2.0, 3.0)) == 0
 
 
 class TestExtractedDiagrams:
@@ -136,7 +135,7 @@ class TestEquivalence:
                 for k, by_type in diagrams.items():
                     profile = measure_profile(X, k, R)
                     for t in BehaviorType:
-                        assert profile[t] == measure_via_diagram(by_type[t], R), \
+                        assert profile[t] == by_type[t].count_in(R), \
                             (name, k, t, R)
 
 

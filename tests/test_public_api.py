@@ -8,7 +8,7 @@ PUBLIC = [
     "bottleneck_distance", "cohomology_diagrams", "decompose",
     "extended_diagrams", "extended_direct", "extended_from_parametrized",
     "levelset_zigzag", "measure_direct", "measure_profile",
-    "measure_via_diagram", "stability_report", "translate",
+    "stability_report", "translate",
 ]
 
 

@@ -11,7 +11,7 @@ import paramhom
 from paramhom import complexes
 from paramhom.complexes import SimplicialComplex, homology
 from paramhom.diagrams import Rectangle
-from paramhom.extended import extended_profile
+from paramhom.extended import _relative, extended_profile
 from paramhom.fieldlin import PrimeField
 from paramhom.measures import full_bar_count, measure_profile
 from paramhom.rspace import ConstructibleRSpace
@@ -216,19 +216,17 @@ def telescope_builds(monkeypatch) -> list[tuple]:
 
 
 def test_one_telescope_per_window(telescope_builds):
-    # extended pieces are columns of the whole telescope, built once per
-    # space; each slice window is built once, however many slices use it
+    # extended pieces and slices share the cached windows: across extended
+    # and rectangle modules on two rectangles, no window is built twice
     rng = random.Random(12)
     for name, X in corpus.corpus().items():
         rects = [corpus.random_rectangle(rng, X.critical_values) for _ in range(2)]
         telescope_builds.clear()
-        for R in rects:
-            for k in (0, 1):
-                extended_profile(X, k, R)
-        assert len(telescope_builds) == 1, name
         for R in rects + rects:
             for k in (0, 1):
+                extended_profile(X, k, R)
                 measure_profile(X, k, R)
+        assert telescope_builds, name
         assert len(set(telescope_builds)) == len(telescope_builds), name
 
 
@@ -241,17 +239,66 @@ def test_narrow_slices_build_only_their_windows(telescope_builds):
     assert sorted(map(len, telescope_builds)) == [1, 1, 1]
 
 
+def test_low_rectangle_builds_no_whole_telescope(telescope_builds):
+    # X^t is a window from level 0 up to t, and (X, X_t) one up to the first
+    # critical value >= t: a low rectangle stays at the bottom of the tube
+    X = corpus.tube_space(40, 5)
+    for k in (0, 1, 2):
+        extended_profile(X, k, Rectangle(1.5, 2.5, 4.5, 5.5))
+    assert telescope_builds
+    assert max(map(len, telescope_builds)) == 7  # the window (0, 6) of (X, X_5.5)
+
+
+def _blocks(T, keep) -> dict:
+    """Per degree, the telescope columns of the blocks ("v" or "e", i) kept."""
+    return {k: [j for j, (tag, i, _) in enumerate(labels) if keep(tag, i)]
+            for k, labels in T.labels.items()}
+
+
 def test_window_is_columns_of_whole_telescope():
     # the slice window [a_lo, a_hi] is the whole telescope's columns over it
     for name, X in corpus.corpus(F3).items():
-        vals, n = X.critical_values, X.n_critical
+        n = X.n_critical
         full = X.telescope()
         for lo in range(n):
             for hi in range(lo, n):
-                S, _ = complexes.subcomplex(full, X.columns_over(vals[lo], vals[hi]))
+                S, _ = complexes.subcomplex(full, _blocks(
+                    full, lambda tag, i: lo <= i and i + (tag == "e") <= hi))
                 W = X.telescope(lo, hi)
                 assert W.labels == {k: [(tag, i - lo, x) for tag, i, x in labels]
                                     for k, labels in S.labels.items()}, (name, lo, hi)
                 for k in S.degrees():
                     assert W.boundary(k).tobytes() == S.boundary(k).tobytes(), (name, lo, hi, k)
         assert X.telescope(0, n - 1) is full
+
+
+def test_relative_pieces_by_excision():
+    # (X, X_t) as the window (0, j) modulo its V_j block equals the whole
+    # telescope modulo the cells over [a_j, inf), a_j the first value >= t
+    for name, X in corpus.corpus(F3).items():
+        vals = X.critical_values
+        full = X.telescope()
+        points = list(vals) + [(a + b) / 2 for a, b in zip(vals, vals[1:])]
+        for t in points + [-INF, vals[0] - 1, vals[-1] + 1, INF]:
+            j = sum(v < t for v in vals)
+            want, _ = complexes.quotient_complex(full, _blocks(full, lambda tag, i: i >= j))
+            got = _relative(X, t)
+            assert got.labels == want.labels, (name, t)
+            for k in want.degrees():
+                assert got.boundary(k).tobytes() == want.boundary(k).tobytes(), (name, t, k)
+        assert _relative(X, INF) is full
+
+
+def test_out_of_range_pieces_refused():
+    X = corpus.circle()  # critical values 0 and 1, one gap
+    for key in (("V", -1), ("V", 2), ("E", -1), ("E", 1), ("Q", 0), ("V", 0.0), "V"):
+        with pytest.raises(ValueError, match="no piece"):
+            X.piece(key)
+    with pytest.raises(ValueError, match="no piece"):
+        X.piece_homology(("V", -1), 0)
+    for i in (-1, 1):
+        with pytest.raises(ValueError, match="no piece"):
+            X.attachment_homology_map(i, "left", 0)
+    for lo, hi in ((-1, 0), (-1, 1), (1, 0), (0, 2)):
+        with pytest.raises(ValueError, match="no window"):
+            X.telescope(lo, hi)
