@@ -11,11 +11,10 @@ from .cohomology import DualityError, cohomology_diagrams
 from .complexes import SimplicialComplex
 from .diagrams import (BehaviorType, DecoratedDiagram, DecoratedPoint,
                        Decoration, Rectangle)
-from .extended import (ExtendedType, extended_diagrams, extended_direct,
-                       extended_from_parametrized)
+from .extended import ExtendedType, extended_diagrams, extended_from_parametrized
 from .fieldlin import PrimeField
 from .levelset import all_diagrams, levelset_zigzag, translate
-from .measures import measure_direct, measure_profile
+from .measures import measure_profile
 from .rspace import ConstructibleRSpace
 from .zigzag import DecompositionError, ZigzagModule, decompose
 
@@ -40,10 +39,8 @@ __all__ = [
     "cohomology_diagrams",
     "decompose",
     "extended_diagrams",
-    "extended_direct",
     "extended_from_parametrized",
     "levelset_zigzag",
-    "measure_direct",
     "measure_profile",
     "stability_report",
     "translate",

@@ -22,7 +22,7 @@ from .diagrams import BehaviorType, Rectangle
 from .extended import PARAMETRIZED, extended_profile
 from .fieldlin import PrimeField
 from .levelset import all_diagrams
-from .measures import full_bar_count, measure_direct, measure_profile
+from .measures import full_bar_count, measure_profile
 from .rspace import ConstructibleRSpace
 from .zigzag import BACKWARD, FORWARD, ZigzagModule, coarsen, decompose
 
@@ -90,9 +90,13 @@ def _dims(X: ConstructibleRSpace) -> range:
 
 def additivity_suite(X: ConstructibleRSpace, rng: random.Random,
                      samples: int = 20,
-                     measure: Callable[..., int] | None = None) -> CheckResult:
-    """measure(R) = measure(R1) + measure(R2) for vertical and horizontal splits."""
-    fn = measure if measure is not None else measure_direct
+                     profile: Callable[..., dict] | None = None) -> CheckResult:
+    """mu(R) = mu(R1) + mu(R2) in each type for vertical and horizontal splits.
+
+    `profile(X, k, R)` gives the four measures of R, `measure_profile` by
+    default, looked up at call time; each rectangle is evaluated once.
+    """
+    fn = profile or measure_profile
     checked = 0
     for i in range(samples):
         R = random_rectangle(rng, X.critical_values)
@@ -102,16 +106,17 @@ def additivity_suite(X: ConstructibleRSpace, rng: random.Random,
             splits.append((f"p={x}", (Rectangle(R.a, x, R.c, R.d), Rectangle(x, R.b, R.c, R.d))))
         if (y := _split_point(R.c, R.d)) is not None:
             splits.append((f"q={y}", (Rectangle(R.a, R.b, R.c, y), Rectangle(R.a, R.b, y, R.d))))
+        whole = fn(X, k, R)
+        halves = [(split, [fn(X, k, part) for part in parts]) for split, parts in splits]
         for t in BehaviorType:
-            whole = fn(X, k, t, R)
-            for split, parts in splits:
-                total = sum(fn(X, k, t, part) for part in parts)
+            for split, profiles in halves:
+                total = sum(p[t] for p in profiles)
                 checked += 1
-                if total != whole:
+                if total != whole[t]:
                     return CheckResult(
                         "additivity", False,
                         f"k={k} type={t.value} {R} split at {split}: "
-                        f"{whole} != {total}")
+                        f"{whole[t]} != {total}")
     return CheckResult("additivity", True, f"{checked} splits")
 
 

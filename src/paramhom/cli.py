@@ -19,11 +19,11 @@ from .bottleneck import bottleneck_distance, stability_report
 from .checks import run_all
 from .cohomology import DualityError, cohomology_diagrams
 from .diagrams import BehaviorType, Rectangle
-from .extended import ExtendedType, extended_direct
+from .extended import ExtendedType, extended_profile
 from .io import (InputError, diagram_entries, dump_diagram, entry_multiset,
                  load_diagram, load_space)
 from .levelset import all_diagrams
-from .measures import measure_direct
+from .measures import measure_profile
 from .plot import render_svg
 
 __all__ = ["main"]
@@ -80,7 +80,7 @@ def cmd_measure(args) -> int:
     X, _ = load_space(args.input)
     R = _parse_rect(args.rect)
     btype = BehaviorType(args.type)
-    value = measure_direct(X, _check_dim(args.dim), btype, R)
+    value = measure_profile(X, _check_dim(args.dim), R)[btype]
     count = all_diagrams(X, args.dim)[btype].count_in(R)
     print(value)
     agree = value == count
@@ -121,7 +121,7 @@ def cmd_stability(args) -> int:
 def cmd_extended(args) -> int:
     X, _ = load_space(args.input)
     R = _parse_rect(args.rect)
-    print(extended_direct(X, _check_dim(args.dim), ExtendedType(args.type), R))
+    print(extended_profile(X, _check_dim(args.dim), R)[ExtendedType(args.type)])
     return 0
 
 

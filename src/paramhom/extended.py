@@ -15,14 +15,13 @@ measures, with a dimension shift of one for the two kinds that pass through
 relative homology; `extended_from_parametrized` applies that dictionary to
 whole diagrams.
 
-Each piece comes from the cached telescope windows that slices use (see
-rspace).  X^t is the slice (-inf, t].  (X, X_t) comes by excision: with
-a_j the first critical value >= t, every telescope cell lies over
-(-inf, a_j] or over [a_j, inf), and the two meet in V_j, so
-C(X)/C(X_{a_j}) is C(X^{a_j})/C(V_j), the window (0, j) modulo its V_j
-block, cell for cell in the same order (the whole telescope when no a_j
->= t).  Windows from 0 label cells as the whole telescope does, so each
-arrow sends a source cell to the target cell with the same label, or to 0.
+Every node is a homology the space caches (see rspace), so extended
+persistence builds no chain complex of its own.  X^t is the slice
+(-inf, t].  (X, X_t) is `X.pair_homology(j, k)` with a_j the first critical
+value >= t: by excision the window (0, j) modulo its V_j block, or the
+whole telescope when no a_j >= t.  Windows from 0 and their quotients label
+cells as the whole telescope does, so each arrow sends a source cell to the
+target cell with the same label, or to 0.
 
 A corner t in a gap (a_i, a_{i+1}) snaps to a critical value, as a gap end
 of a slice does: X^t is taken as the telescope of X^{a_i} and X_t as that
@@ -41,7 +40,7 @@ from bisect import bisect_left
 from enum import Enum
 from typing import Mapping
 
-from .complexes import ChainComplex, homology, induced_homology_map, quotient_complex
+from .complexes import induced_homology_map
 from .diagrams import BehaviorType, DecoratedDiagram, Rectangle
 from .levelset import all_diagrams
 from .rspace import ConstructibleRSpace
@@ -52,7 +51,6 @@ __all__ = [
     "PATTERNS",
     "extended_module",
     "extended_profile",
-    "extended_direct",
     "extended_from_parametrized",
     "extended_diagrams",
 ]
@@ -89,30 +87,18 @@ PARAMETRIZED: dict[ExtendedType, tuple[BehaviorType, int]] = {
 }
 
 
-def _relative(X: ConstructibleRSpace, t: float) -> ChainComplex:
-    """The chain complex of the pair (X, X_t), by excision."""
-    j = bisect_left(X.critical_values, t)
-    if j == X.n_critical:
-        return X.telescope()
-    W = X.telescope(0, j)
-    return quotient_complex(W, {k: [c for c, (tag, i, _) in enumerate(labels)
-                                    if tag == "v" and i == j]
-                                for k, labels in W.labels.items()})[0]
-
-
 def extended_module(X: ConstructibleRSpace, k: int, R: Rectangle) -> ZigzagModule:
     """Degree-k homology of the eight-node filtration selected by R."""
     corners = (R.a, R.b, R.c, R.d)
     bases = ([X.slice_homology(-math.inf, t, k)[0] for t in corners]
-             + [homology(_relative(X, t), k) for t in reversed(corners)])
+             + [X.pair_homology(bisect_left(X.critical_values, t), k)
+                for t in reversed(corners)])
     arrows = []
     for src, tgt in zip(bases, bases[1:]):
         position = {x: c for c, x in enumerate(tgt.complex.labels.get(k, []))}
         columns = [position.get(x, -1) for x in src.complex.labels.get(k, [])]
         arrows.append((FORWARD, induced_homology_map(src, tgt, columns)))
-    annotations = tuple([("sub", t) for t in corners]
-                        + [("rel", t) for t in reversed(corners)])
-    return ZigzagModule(X.field, [h.rank for h in bases], arrows, annotations)
+    return ZigzagModule(X.field, [h.rank for h in bases], arrows)
 
 
 def extended_profile(X: ConstructibleRSpace, k: int, R: Rectangle
@@ -120,12 +106,6 @@ def extended_profile(X: ConstructibleRSpace, k: int, R: Rectangle
     """All four extended measures of R from a single decomposition."""
     mult = decompose(extended_module(X, k, R))
     return {t: mult.get(span, 0) for t, span in PATTERNS.items()}
-
-
-def extended_direct(X: ConstructibleRSpace, k: int, t: ExtendedType,
-                    R: Rectangle) -> int:
-    """Extended measure of kind t in degree k over the rectangle R."""
-    return extended_profile(X, k, R)[t]
 
 
 def extended_from_parametrized(

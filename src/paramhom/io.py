@@ -4,8 +4,10 @@ An input document describes a constructible space piecewise: the sorted
 critical values, one simplicial complex per critical value and per gap, and
 the two attaching vertex tables per gap.  Simplices are lists of nonnegative
 integer vertex ids and may list only maximal faces; closure is taken on
-load.  A diagram document is a flat list of entries, one per diagram point,
-sorted by (dim, type, birth, death).
+load.  A vertex table keys each source vertex once, by the plain decimal
+of its id ("3", not "03", "+3" or " 3").  A diagram document is a flat
+list of entries, one per diagram point, sorted by (dim, type, birth,
+death).
 
 Real values serialize as plain JSON numbers, integers without a decimal
 point and other values as the shortest decimal that reads back to the
@@ -102,9 +104,15 @@ def _parse_vertex_table(obj, where: str) -> dict[int, int]:
         try:
             key = int(k)
         except (TypeError, ValueError):
-            raise InputError(f"{where}: bad vertex id {k!r}") from None
+            key = None
+        # a string key must be the canonical decimal of its id: "01", " 3 "
+        # and "+4" would otherwise name a vertex another key may name too
+        if key is None or (isinstance(k, str) and k != str(key)):
+            raise InputError(f"{where}: bad vertex id {k!r}")
         if isinstance(v, bool) or not isinstance(v, int) or key < 0 or v < 0:
             raise InputError(f"{where}: vertex ids are nonnegative integers")
+        if key in table:
+            raise InputError(f"{where}: vertex {key} is mapped twice")
         table[key] = v
     return table
 

@@ -30,47 +30,19 @@ __all__ = ["levelset_zigzag", "translate", "all_diagrams"]
 def levelset_zigzag(X: ConstructibleRSpace, k: int) -> ZigzagModule:
     """Degree-k levelset zigzag module of X.
 
-    Node annotations are ("F", i) for the gap fiber above the i-th critical
-    value (("F", 0) is the empty fiber below all of them) and ("S", i) for
-    the fiber at the i-th critical value, i counted from 1.
+    Node 2i + 1 (1-based) is the gap fiber F_i above the i-th critical value
+    (F_0 and F_n are empty) and node 2i the fiber S_i at it, i from 1.
     """
     n = X.n_critical
-    dims: list[int] = []
-    annotations: list[tuple[str, int]] = []
-    bases = []  # homology basis per node, None for the empty ends
-    for i in range(2 * n + 1):
-        if i % 2 == 0:
-            gap = i // 2
-            annotations.append(("F", gap))
-            if 0 < gap < n:
-                h = X.piece_homology(("E", gap - 1), k)
-            else:
-                h = None
-            bases.append(h)
-            dims.append(0 if h is None else h.rank)
-        else:
-            s = (i + 1) // 2
-            annotations.append(("S", s))
-            h = X.piece_homology(("V", s - 1), k)
-            bases.append(h)
-            dims.append(h.rank)
-
+    v = [X.piece_homology(("V", i), k).rank for i in range(n)]
+    e = [0] + [X.piece_homology(("E", i), k).rank for i in range(n - 1)] + [0]
+    dims = [d for pair in zip(e, v) for d in pair] + [0]
     arrows: list[tuple[str, np.ndarray]] = []
-    for i in range(1, n + 1):
-        s_basis = bases[2 * i - 1]
-        below = bases[2 * i - 2]
-        above = bases[2 * i]
-        if below is None:
-            fwd = np.zeros((s_basis.rank, 0), dtype=np.int64)
-        else:
-            fwd = X.attachment_homology_map(i - 2, "right", k)
-        arrows.append((FORWARD, fwd))
-        if above is None:
-            bwd = np.zeros((s_basis.rank, 0), dtype=np.int64)
-        else:
-            bwd = X.attachment_homology_map(i - 1, "left", k)
-        arrows.append((BACKWARD, bwd))
-    return ZigzagModule(X.field, tuple(dims), arrows, tuple(annotations))
+    for i in range(n):
+        empty = np.zeros((v[i], 0), dtype=np.int64)
+        arrows.append((FORWARD, X.attachment_homology_map(i - 1, "right", k) if i > 0 else empty))
+        arrows.append((BACKWARD, X.attachment_homology_map(i, "left", k) if i < n - 1 else empty))
+    return ZigzagModule(X.field, dims, arrows)
 
 
 def _endpoints(lo: int, hi: int, vals: Sequence[float], n: int

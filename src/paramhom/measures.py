@@ -9,7 +9,8 @@ four multiplicities classify how a feature alive on [b, c] behaves at the
 two ends: "killed" at an end means it stops at the fiber node (interval ends
 at position 3 or 5), "expired" means it survives the outer slice but not
 the outer fiber (interval ends at 2 or 6).  The measure of each behaviour
-type is the corresponding interval multiplicity.
+type is the corresponding interval multiplicity, and `measure_profile`
+reads all four from one decomposition.
 
 The same numbers are obtained by counting decorated diagram points inside R
 (`DecoratedDiagram.count_in`), and the test suite exercises the agreement
@@ -25,7 +26,6 @@ from .zigzag import BACKWARD, FORWARD, ZigzagModule, decompose
 __all__ = [
     "PATTERNS",
     "rectangle_module",
-    "measure_direct",
     "measure_profile",
     "full_bar_count",
 ]
@@ -60,9 +60,7 @@ def rectangle_module(X: ConstructibleRSpace, k: int, R: Rectangle) -> ZigzagModu
         (FORWARD, into_cd_from_c),
         (BACKWARD, into_cd_from_d),
     ]
-    annotations = (("fiber", a), ("slice", a, b), ("fiber", b), ("slice", b, c),
-                   ("fiber", c), ("slice", c, d), ("fiber", d))
-    return ZigzagModule(X.field, dims, arrows, annotations)
+    return ZigzagModule(X.field, dims, arrows)
 
 
 def measure_profile(X: ConstructibleRSpace, k: int, R: Rectangle
@@ -70,11 +68,6 @@ def measure_profile(X: ConstructibleRSpace, k: int, R: Rectangle
     """All four measures of R from a single decomposition."""
     mult = decompose(rectangle_module(X, k, R))
     return {t: mult.get(span, 0) for t, span in PATTERNS.items()}
-
-
-def measure_direct(X: ConstructibleRSpace, k: int, t: BehaviorType,
-                   R: Rectangle) -> int:
-    return measure_profile(X, k, R)[t]
 
 
 def full_bar_count(X: ConstructibleRSpace, k: int, b: float, c: float) -> int:

@@ -14,10 +14,13 @@ order; a window from 0 labels its cells as the whole telescope does.
 A slice f^{-1}[p, q] holding the critical values a_lo..a_hi retracts onto
 that window: an end p in the gap below a_lo snaps to a_lo through the
 cylinder of r_{lo-1}, and an end q above a_hi to a_hi through that of l_hi.
-So the sublevel set X^t is the slice (-inf, t].  Slices with the same lo,
-hi and end fibers are the same, so their homology is cached per such plan,
-not per numeric rectangle.  Instances are treated as immutable after
-construction.
+So the sublevel set X^t is the slice (-inf, t].  The homology of a window
+is reduced once per degree (`window_homology`) and shared by every slice
+over it; slices with the same lo, hi and end fibers are the same, so their
+end maps are cached per such plan, not per numeric rectangle.  The pair
+(X, X_{a_j}) is, by excision, the window (0, j) modulo its V_j block; that
+quotient is built once per j and its homology reduced once per degree
+(`pair_homology`).  Instances are treated as immutable after construction.
 """
 
 from __future__ import annotations
@@ -37,6 +40,7 @@ from .complexes import (
     homology,
     induced_chain_map,
     induced_homology_map,
+    quotient_complex,
     telescope,
 )
 from .fieldlin import PrimeField
@@ -73,6 +77,7 @@ class ConstructibleRSpace:
         self._chain: dict = {}
         self._edge_maps: dict = {}
         self._telescopes: dict = {}
+        self._pairs: dict = {}
         self._homology: dict = {}
 
     # -- structural validation ----------------------------------------------
@@ -204,6 +209,33 @@ class ConstructibleRSpace:
             self._homology[key] = induced_homology_map(src, tgt, *f.get(k, ((), ())))
         return self._homology[key]
 
+    def window_homology(self, lo: int, hi: int, k: int) -> HomologyBasis:
+        """H_k of the window `telescope(lo, hi)`, shared by every slice over it."""
+        key = ("window", lo, hi, k)
+        if key not in self._homology:
+            self._homology[key] = homology(self.telescope(lo, hi), k)
+        return self._homology[key]
+
+    def pair_homology(self, j: int, k: int) -> HomologyBasis:
+        """H_k of the pair (X, X_{a_j}), or of X itself when j = n_critical.
+
+        By excision it is the window (0, j) modulo its V_j block: every
+        telescope cell lies over (-inf, a_j] or over [a_j, inf), and the
+        two meet in V_j.  Cells keep the window's labels and column order;
+        the quotient is built once per j and shared by every degree.
+        """
+        if j == self.n_critical:
+            return self.window_homology(0, j - 1, k)
+        key = ("pair", j, k)
+        if key not in self._homology:
+            if j not in self._pairs:
+                W = self.telescope(0, j)
+                self._pairs[j], _ = quotient_complex(
+                    W, {d: [c for c, (tag, i, _) in enumerate(labels) if tag == "v" and i == j]
+                        for d, labels in W.labels.items()})
+            self._homology[key] = homology(self._pairs[j], k)
+        return self._homology[key]
+
     def slice_homology(self, p: float, q: float, k: int
                        ) -> tuple[HomologyBasis, np.ndarray, np.ndarray]:
         """H_k of the slice and the two induced maps from the end fibers.
@@ -223,7 +255,7 @@ class ConstructibleRSpace:
                 h = hp
                 mp = mq = self.field.identity(h.rank)
             else:
-                h = homology(self.telescope(lo, hi), k)
+                h = self.window_homology(lo, hi, k)
                 # the V blocks of the window come first, in order
                 off = sum(self.piece_chain(("V", i)).dim(k) for i in range(lo, hi))
                 mp = induced_homology_map(hp, h, *self._end_columns(fp, "right", 0, k))

@@ -61,7 +61,6 @@ class ZigzagModule:
     field: PrimeField
     dims: list[int]
     arrows: list[tuple[str, np.ndarray]]
-    annotations: tuple | None = None
 
     def __post_init__(self):
         self.dims = [int(d) for d in self.dims]
@@ -166,14 +165,11 @@ def coarsen(Z: ZigzagModule, k: int) -> ZigzagModule:
         comp = Z.field.matmul(M1, M2)  # V_{k+1} -> V_k -> V_{k-1}
     dims = Z.dims[:k - 1] + Z.dims[k:]
     arrows = Z.arrows[:k - 2] + [(d1, comp)] + Z.arrows[k:]
-    ann = None
-    if Z.annotations is not None:
-        ann = tuple(a for i, a in enumerate(Z.annotations, start=1) if i != k)
-    return ZigzagModule(Z.field, dims, arrows, ann)
+    return ZigzagModule(Z.field, dims, arrows)
 
 
 def dualize(Z: ZigzagModule) -> ZigzagModule:
     """Reverse every arrow and transpose its matrix (linear dual, same order)."""
     arrows = [(BACKWARD if d == FORWARD else FORWARD, M.T.copy())
               for d, M in Z.arrows]
-    return ZigzagModule(Z.field, list(Z.dims), arrows, Z.annotations)
+    return ZigzagModule(Z.field, list(Z.dims), arrows)

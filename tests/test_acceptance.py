@@ -17,7 +17,7 @@ from paramhom.diagrams import BehaviorType, DecoratedPoint, Rectangle, undecorat
 from paramhom.extended import ExtendedType, extended_diagrams, extended_profile
 from paramhom.fieldlin import PrimeField
 from paramhom.levelset import all_diagrams
-from paramhom.measures import full_bar_count, measure_direct, measure_profile
+from paramhom.measures import full_bar_count, measure_profile
 from paramhom.zigzag import coarsen, decompose
 
 import corpus
@@ -216,7 +216,7 @@ def test_criterion_11_decoration_typing():
     for X in (corpus.circle(), corpus.w_shape(), corpus.two_component()):
         for k in degrees(X):
             for t in BehaviorType:
-                D = oracles.extract_diagram(lambda R: measure_direct(X, k, t, R),
+                D = oracles.extract_diagram(lambda R: measure_profile(X, k, R)[t],
                                             X.critical_values, t)
                 for pt, m in D.points():
                     assert (pt.pdec, pt.qdec) == t.decorations, (k, t, pt)

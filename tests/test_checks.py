@@ -1,5 +1,6 @@
 import random
 
+from paramhom import checks
 from paramhom.checks import (
     additivity_suite,
     bound_suite,
@@ -10,7 +11,8 @@ from paramhom.checks import (
     restriction_suite,
     run_all,
 )
-from paramhom.measures import measure_direct
+from paramhom.diagrams import BehaviorType
+from paramhom.measures import measure_profile
 
 import corpus
 
@@ -39,15 +41,32 @@ class TestNegativeControl:
         X = corpus.circle()
         calls = {"n": 0}
 
-        def lying(X_, k, t, R):
+        def lying(X_, k, R):
             calls["n"] += 1
-            v = measure_direct(X_, k, t, R)
-            # misreport every seventh query
-            return v + 1 if calls["n"] % 7 == 0 else v
+            profile = measure_profile(X_, k, R)
+            # misreport one type on every seventh rectangle
+            if calls["n"] % 7 == 0:
+                profile[BehaviorType.OPEN_CLOSED] += 1
+            return profile
 
-        r = additivity_suite(X, random.Random(0), samples=12, measure=lying)
+        r = additivity_suite(X, random.Random(0), samples=12, profile=lying)
         assert not r.passed
         assert "split" in r.detail and "Rectangle" in r.detail
+        assert "type=oc" in r.detail
+
+
+def test_additivity_looks_up_measure_profile_when_called(monkeypatch):
+    # a tracer patches module globals, so the default must not be bound early
+    seen = []
+
+    def recording(X, k, R):
+        seen.append(R)
+        return measure_profile(X, k, R)
+
+    monkeypatch.setattr(checks, "measure_profile", recording)
+    r = additivity_suite(corpus.circle(), random.Random(0), samples=3)
+    assert r.passed
+    assert len(seen) >= 3
 
 
 class TestRectangleSampler:

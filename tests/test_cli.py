@@ -7,6 +7,7 @@ import pytest
 
 import paramhom.cli as cli
 from paramhom.cli import main
+from paramhom.diagrams import BehaviorType
 
 import corpus
 from corpus import point_doc
@@ -100,6 +101,18 @@ class TestDiagram:
         assert proc.returncode == 2
         assert "too large" in proc.stderr
 
+    @pytest.mark.parametrize("table", [
+        {"0": 0, "1": 0, "01": 0},
+        {"0": 0, " 1 ": 0},
+        {"0": 0, "+1": 0},
+        {"0": 0, "\u0661": 0},  # ARABIC-INDIC DIGIT ONE
+    ])
+    def test_noncanonical_vertex_key_exit_2(self, tmp_path, capsys, table):
+        # each key would read as vertex 1, so a table could name it twice
+        doc = dict(CIRCLE, left_maps=[table])
+        assert main(["diagram", write_doc(tmp_path, "bad.json", doc)]) == 2
+        assert "bad vertex id" in capsys.readouterr().err
+
     def test_unreadable_file_exit_2(self, tmp_path, capsys):
         assert main(["diagram", str(tmp_path / "missing.json")]) == 2
         assert "error" in capsys.readouterr().err
@@ -134,7 +147,8 @@ class TestMeasure:
         capsys.readouterr()
 
     def test_disagreement_flagged(self, circle_path, capsys, monkeypatch):
-        monkeypatch.setattr(cli, "measure_direct", lambda *a: 99)
+        monkeypatch.setattr(cli, "measure_profile",
+                            lambda *a: {t: 99 for t in BehaviorType})
         assert main(["measure", circle_path, "--type", "cc", "--dim", "0",
                      "--rect=-1,0,1,2"]) == 1
         assert "DISAGREE" in capsys.readouterr().out

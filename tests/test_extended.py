@@ -8,7 +8,6 @@ from paramhom.extended import (
     PARAMETRIZED,
     ExtendedType,
     extended_diagrams,
-    extended_direct,
     extended_from_parametrized,
     extended_module,
     extended_profile,
@@ -45,9 +44,6 @@ class TestModuleShape:
         # the superlevel pair kills it
         assert Z.dims == [0, 1, 1, 1, 1, 0, 0, 0]
         assert all(direction == FORWARD for direction, _ in Z.arrows)
-        assert Z.annotations[0] == ("sub", -1.0)
-        assert Z.annotations[4] == ("rel", 2.0)
-        assert Z.annotations[7] == ("rel", -1.0)
 
     def test_corners_inside_gaps(self):
         X = corpus.circle()
@@ -69,19 +65,20 @@ class TestModuleShape:
 class TestGoldenValues:
     def test_circle_essential_pair(self):
         X = corpus.circle()
-        assert extended_direct(X, 0, EXT_PLUS, Rectangle(-1.0, 0.0, 1.0, 2.0)) == 1
+        assert extended_profile(X, 0, Rectangle(-1.0, 0.0, 1.0, 2.0))[EXT_PLUS] == 1
 
     def test_circle_rectangle_misses_birth(self):
         X = corpus.circle()
         R = Rectangle(-1.0, -0.5, 1.5, 2.0)
-        assert extended_direct(X, 0, EXT_PLUS, R) == 0
+        assert extended_profile(X, 0, R)[EXT_PLUS] == 0
 
     def test_circle_essential_cycle(self):
         X = corpus.circle()
         R = Rectangle(-0.2, 0.3, 0.6, 1.4)
-        assert extended_direct(X, 1, EXT_MINUS, R) == 1
-        assert extended_direct(X, 1, ORD, R) == 0
-        assert extended_direct(X, 1, REL, R) == 0
+        profile = extended_profile(X, 1, R)
+        assert profile[EXT_MINUS] == 1
+        assert profile[ORD] == 0
+        assert profile[REL] == 0
 
     def test_rectangle_beyond_support_is_empty(self):
         X = corpus.circle()
@@ -91,12 +88,12 @@ class TestGoldenValues:
     def test_w_shape_ordinary_class(self):
         X = corpus.w_shape()
         # the short-lived component [0.2, 0.6)
-        assert extended_direct(X, 0, ORD, Rectangle(0.1, 0.3, 0.5, 0.7)) == 1
+        assert extended_profile(X, 0, Rectangle(0.1, 0.3, 0.5, 0.7))[ORD] == 1
 
     def test_w_shape_relative_class(self):
         X = corpus.w_shape()
         # the merge bar (0, 1] seen one degree up on the relative half
-        assert extended_direct(X, 1, REL, Rectangle(-0.5, 0.5, 0.8, 1.2)) == 1
+        assert extended_profile(X, 1, Rectangle(-0.5, 0.5, 0.8, 1.2))[REL] == 1
 
 
 class TestCorrespondence:
@@ -138,16 +135,16 @@ class TestAdditivity:
         for _ in range(10):
             R = corpus.random_rectangle(rng, X.critical_values)
             for k in (0, 1):
+                v = extended_profile(X, k, R)
+                x = (R.a + R.b) / 2 if math.isfinite(R.a) else R.b - 0.1
+                left = extended_profile(X, k, Rectangle(R.a, x, R.c, R.d))
+                right = extended_profile(X, k, Rectangle(x, R.b, R.c, R.d))
+                y = (R.c + R.d) / 2 if math.isfinite(R.d) else R.c + 0.1
+                low = extended_profile(X, k, Rectangle(R.a, R.b, R.c, y))
+                high = extended_profile(X, k, Rectangle(R.a, R.b, y, R.d))
                 for t in ExtendedType:
-                    v = extended_direct(X, k, t, R)
-                    x = (R.a + R.b) / 2 if math.isfinite(R.a) else R.b - 0.1
-                    left = extended_direct(X, k, t, Rectangle(R.a, x, R.c, R.d))
-                    right = extended_direct(X, k, t, Rectangle(x, R.b, R.c, R.d))
-                    assert left + right == v
-                    y = (R.c + R.d) / 2 if math.isfinite(R.d) else R.c + 0.1
-                    low = extended_direct(X, k, t, Rectangle(R.a, R.b, R.c, y))
-                    high = extended_direct(X, k, t, Rectangle(R.a, R.b, y, R.d))
-                    assert low + high == v
+                    assert left[t] + right[t] == v[t]
+                    assert low[t] + high[t] == v[t]
 
 
 class TestFromParametrized:

@@ -97,6 +97,11 @@ class TestParseSpace:
         with pytest.raises(InputError, match="nonnegative"):
             parse_space(doc)
 
+    def test_vertex_mapped_twice(self):
+        doc = dict(CIRCLE_DOC, left_maps=[{"0": 0, 1: 0, "1": 0}])
+        with pytest.raises(InputError, match="vertex 1 is mapped twice"):
+            parse_space(doc)
+
     def test_map_outside_target(self):
         doc = dict(CIRCLE_DOC, right_maps=[{"0": 7, "1": 0}])
         with pytest.raises(InputError, match="not a simplex"):

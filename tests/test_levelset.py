@@ -32,7 +32,6 @@ class TestModuleShape:
         Z = levelset_zigzag(corpus.circle(), 0)
         assert Z.dims == [0, 1, 2, 1, 0]
         assert [d for d, _ in Z.arrows] == [FORWARD, BACKWARD, FORWARD, BACKWARD]
-        assert Z.annotations == (("F", 0), ("S", 1), ("F", 1), ("S", 2), ("F", 2))
 
     def test_circle_h1_is_trivial(self):
         assert levelset_zigzag(corpus.circle(), 1).dims == [0, 0, 0, 0, 0]

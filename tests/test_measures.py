@@ -7,7 +7,6 @@ from paramhom.diagrams import BehaviorType, DecoratedDiagram, DecoratedPoint, Re
 from paramhom.levelset import all_diagrams
 from paramhom.measures import (
     full_bar_count,
-    measure_direct,
     measure_profile,
     rectangle_module,
 )
@@ -28,7 +27,7 @@ def bar(p, q, btype):
 
 
 def measured_diagram(X, k, t):
-    return extract_diagram(lambda R: measure_direct(X, k, t, R), X.critical_values, t)
+    return extract_diagram(lambda R: measure_profile(X, k, R)[t], X.critical_values, t)
 
 
 class TestRectangleModule:
@@ -36,8 +35,6 @@ class TestRectangleModule:
         X = corpus.circle()
         Z = rectangle_module(X, 0, Rectangle(-1.0, 0.0, 1.0, 2.0))
         assert Z.dims == [0, 1, 1, 1, 1, 1, 0]
-        assert Z.annotations[0] == ("fiber", -1.0)
-        assert Z.annotations[3] == ("slice", 0.0, 1.0)
 
     def test_far_away_rectangle_is_empty(self):
         X = corpus.circle()
@@ -49,7 +46,6 @@ class TestGoldenMeasures:
     def test_circle_component_bar(self):
         X = corpus.circle()
         R = Rectangle(-1.0, 0.0, 1.0, 2.0)
-        assert measure_direct(X, 0, CC, R) == 1
         assert measure_profile(X, 0, R) == {OO: 0, CO: 0, OC: 0, CC: 1}
 
     def test_circle_rectangle_missing_the_bar(self):
@@ -62,9 +58,10 @@ class TestGoldenMeasures:
         X = corpus.circle()
         R = Rectangle(-0.2, 0.3, 0.6, 1.4)
         # both endpoints of both bars are interior to R, so each type counts
-        assert measure_direct(X, 0, OO, R) == 1
-        assert measure_direct(X, 0, CC, R) == 1
-        assert measure_direct(X, 0, CO, R) == 0
+        profile = measure_profile(X, 0, R)
+        assert profile[OO] == 1
+        assert profile[CC] == 1
+        assert profile[CO] == 0
 
     def test_rectangle_left_of_everything(self):
         X = corpus.circle()
@@ -145,16 +142,16 @@ class TestMeasureAxioms:
         X = corpus.w_shape()
         for _ in range(25):
             R = corpus.random_rectangle(rng, X.critical_values)
+            v = measure_profile(X, 0, R)
+            x = (R.a + R.b) / 2 if math.isfinite(R.a) else R.b - 0.1
+            left = measure_profile(X, 0, Rectangle(R.a, x, R.c, R.d))
+            right = measure_profile(X, 0, Rectangle(x, R.b, R.c, R.d))
+            y = (R.c + R.d) / 2 if math.isfinite(R.d) else R.c + 0.1
+            low = measure_profile(X, 0, Rectangle(R.a, R.b, R.c, y))
+            high = measure_profile(X, 0, Rectangle(R.a, R.b, y, R.d))
             for t in BehaviorType:
-                v = measure_direct(X, 0, t, R)
-                x = (R.a + R.b) / 2 if math.isfinite(R.a) else R.b - 0.1
-                left = measure_direct(X, 0, t, Rectangle(R.a, x, R.c, R.d))
-                right = measure_direct(X, 0, t, Rectangle(x, R.b, R.c, R.d))
-                assert left + right == v
-                y = (R.c + R.d) / 2 if math.isfinite(R.d) else R.c + 0.1
-                low = measure_direct(X, 0, t, Rectangle(R.a, R.b, R.c, y))
-                high = measure_direct(X, 0, t, Rectangle(R.a, R.b, y, R.d))
-                assert low + high == v
+                assert left[t] + right[t] == v[t]
+                assert low[t] + high[t] == v[t]
 
     def test_monotone_under_inclusion(self):
         X = corpus.vertical_torus()
@@ -190,8 +187,7 @@ class TestCoordinateReversal:
         X = corpus.w_shape()
         XX = coordinate_reverse(coordinate_reverse(X))
         R = Rectangle(0.1, 0.3, 0.5, 0.9)
-        for t in BehaviorType:
-            assert measure_direct(X, 0, t, R) == measure_direct(XX, 0, t, R)
+        assert measure_profile(X, 0, R) == measure_profile(XX, 0, R)
 
     def test_reversal_identities(self):
         rng = random.Random(17)

@@ -6,8 +6,8 @@ PUBLIC = [
     "ExtendedType", "PrimeField", "Rectangle", "SimplicialComplex",
     "StabilityRecord", "ZigzagModule", "__version__", "all_diagrams",
     "bottleneck_distance", "cohomology_diagrams", "decompose",
-    "extended_diagrams", "extended_direct", "extended_from_parametrized",
-    "levelset_zigzag", "measure_direct", "measure_profile",
+    "extended_diagrams", "extended_from_parametrized",
+    "levelset_zigzag", "measure_profile",
     "stability_report", "translate",
 ]
 

@@ -4,6 +4,7 @@ import importlib
 import math
 import pkgutil
 import random
+from collections import Counter
 
 import pytest
 
@@ -11,7 +12,8 @@ import paramhom
 from paramhom import complexes
 from paramhom.complexes import SimplicialComplex, homology
 from paramhom.diagrams import Rectangle
-from paramhom.extended import _relative, extended_profile
+from paramhom.checks import run_all
+from paramhom.extended import extended_profile
 from paramhom.fieldlin import PrimeField
 from paramhom.measures import full_bar_count, measure_profile
 from paramhom.rspace import ConstructibleRSpace
@@ -273,20 +275,62 @@ def test_window_is_columns_of_whole_telescope():
 
 
 def test_relative_pieces_by_excision():
-    # (X, X_t) as the window (0, j) modulo its V_j block equals the whole
-    # telescope modulo the cells over [a_j, inf), a_j the first value >= t
+    # (X, X_{a_j}) as the window (0, j) modulo its V_j block equals the whole
+    # telescope modulo the cells over [a_j, inf)
     for name, X in corpus.corpus(F3).items():
-        vals = X.critical_values
+        n = X.n_critical
         full = X.telescope()
-        points = list(vals) + [(a + b) / 2 for a, b in zip(vals, vals[1:])]
-        for t in points + [-INF, vals[0] - 1, vals[-1] + 1, INF]:
-            j = sum(v < t for v in vals)
+        for j in range(n + 1):
             want, _ = complexes.quotient_complex(full, _blocks(full, lambda tag, i: i >= j))
-            got = _relative(X, t)
-            assert got.labels == want.labels, (name, t)
-            for k in want.degrees():
-                assert got.boundary(k).tobytes() == want.boundary(k).tobytes(), (name, t, k)
-        assert _relative(X, INF) is full
+            for k in range(3):
+                got = X.pair_homology(j, k).complex
+                assert got.labels == want.labels, (name, j, k)
+                for d in want.degrees():
+                    assert got.boundary(d).tobytes() == want.boundary(d).tobytes(), (name, j, d)
+        assert X.pair_homology(n, 0).complex is full
+
+
+@pytest.fixture
+def reductions(monkeypatch) -> list[tuple]:
+    """(chain complex, degree) of every homology taken."""
+    taken = []
+
+    def counting(C, k):
+        taken.append((C, k))
+        return original(C, k)
+
+    original = complexes.homology
+    for mod in pkgutil.iter_modules(paramhom.__path__):
+        module = importlib.import_module(f"paramhom.{mod.name}")
+        if getattr(module, "homology", None) is original:
+            monkeypatch.setattr(module, "homology", counting)
+    return taken
+
+
+def test_extended_profile_twice_reduces_nothing_new(reductions):
+    rng = random.Random(4)
+    for name, X in corpus.corpus().items():
+        for k in range(max(X.max_piece_dimension(), 0) + 2):
+            R = corpus.random_rectangle(rng, X.critical_values)
+            first = extended_profile(X, k, R)
+            reductions.clear()
+            assert extended_profile(X, k, R) == first
+            assert reductions == [], (name, k, R)
+
+
+def test_validate_reduces_each_window_and_pair_once(reductions):
+    X = corpus.tube_space(7, 5)
+    run_all(X, random.Random(1), 1)
+    windows = {id(T): key for key, T in X._telescopes.items()}
+    fibers = {id(C) for C in X._chain.values()}
+    seen = Counter()
+    for C, k in reductions:
+        if id(C) in windows:
+            seen["window", windows[id(C)], k] += 1
+        elif id(C) not in fibers:  # a pair: a window from 0 modulo its top block
+            seen["pair", tuple(map(tuple, C.labels.values())), k] += 1
+    assert {kind for kind, *_ in seen} == {"window", "pair"}
+    assert max(seen.values()) == 1, [key[::2] for key, m in seen.items() if m > 1]
 
 
 def test_out_of_range_pieces_refused():

@@ -171,12 +171,6 @@ def test_dualize_preserves_decomposition():
         assert decompose(D) == decompose(Z)
 
 
-def test_annotations_survive_coarsen():
-    Z = ZigzagModule(F2, [1, 1, 1], [("f", [[1]]), ("f", [[1]])],
-                     annotations=("a", "b", "c"))
-    assert coarsen(Z, 2).annotations == ("a", "c")
-
-
 @pytest.mark.parametrize("p", PRIMES)
 def test_decompose_matches_rank_table_on_random_modules(p):
     field = PrimeField(p)
