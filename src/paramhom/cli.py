@@ -36,15 +36,10 @@ def _parse_rect(text: str) -> Rectangle:
     corners = []
     for part in parts:
         s = part.strip()
-        if s in ("inf", "+inf"):
-            corners.append(math.inf)
-        elif s == "-inf":
-            corners.append(-math.inf)
-        else:
-            try:
-                corners.append(float(s))
-            except ValueError:
-                raise InputError(f"bad rectangle corner {s!r}") from None
+        try:
+            corners.append(float(s))  # reads "inf", "+inf" and "-inf" too
+        except ValueError:
+            raise InputError(f"bad rectangle corner {s!r}") from None
     try:
         return Rectangle(*corners)
     except ValueError as e:

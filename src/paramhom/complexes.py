@@ -33,6 +33,7 @@ __all__ = [
     "induced_chain_map",
     "homology",
     "induced_homology_map",
+    "label_columns",
     "telescope",
     "subcomplex",
     "quotient_complex",
@@ -283,6 +284,12 @@ def induced_homology_map(src_h: HomologyBasis, tgt_h: HomologyBasis,
     return field.matmul(proj, src_h.representatives[kept])
 
 
+def label_columns(labels: Iterable, C: ChainComplex, k: int) -> np.ndarray:
+    """The degree-k column of C holding each label, or -1: an inclusion by label."""
+    position = {x: c for c, x in enumerate(C.labels.get(k, []))}
+    return np.array([position.get(x, -1) for x in labels], dtype=np.int64)
+
+
 def telescope(nodes: Sequence[ChainComplex],
               edges: Sequence[tuple[ChainComplex, ColumnMap, ColumnMap]]) -> ChainComplex:
     """Mapping telescope of V_0 <- E_0 -> V_1 <- E_1 -> ... -> V_n.
@@ -293,9 +300,9 @@ def telescope(nodes: Sequence[ChainComplex],
     because r - l is a chain map.
 
     Labels are ("v", t, lbl) for generators of node t and ("e", t, lbl) for
-    the shifted generators of edge t.  In each degree the node blocks come
-    first, in node order, then the edge blocks, so node t includes as the
-    coordinate columns after the dimensions of nodes 0..t-1.
+    the shifted generators of edge t.  The order of the columns within a
+    degree is this function's own choice: callers find a cell by its label
+    (see `label_columns`), never by its position.
     """
     if not nodes:
         raise ValueError("telescope needs at least one node")

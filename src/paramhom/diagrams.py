@@ -41,20 +41,25 @@ class Decoration(Enum):
 
 
 class BehaviorType(Enum):
-    """Endpoint behaviour of a feature interval: (left, right) openness."""
+    """Endpoint behaviour of a feature interval: "c"losed or "o"pen (left, right)."""
 
     OPEN_OPEN = "oo"
     CLOSED_OPEN = "co"
     OPEN_CLOSED = "oc"
     CLOSED_CLOSED = "cc"
 
+    @staticmethod
+    def of(left_closed: bool, right_closed: bool) -> "BehaviorType":
+        """The type whose left and right ends are closed as given."""
+        return BehaviorType("oc"[left_closed] + "oc"[right_closed])
+
     @property
     def left_closed(self) -> bool:
-        return self in (BehaviorType.CLOSED_OPEN, BehaviorType.CLOSED_CLOSED)
+        return self.value[0] == "c"
 
     @property
     def right_closed(self) -> bool:
-        return self in (BehaviorType.OPEN_CLOSED, BehaviorType.CLOSED_CLOSED)
+        return self.value[1] == "c"
 
     @property
     def decorations(self) -> tuple[Decoration, Decoration]:
@@ -64,14 +69,7 @@ class BehaviorType(Enum):
 
     @staticmethod
     def from_decorations(pdec: Decoration, qdec: Decoration) -> "BehaviorType":
-        left_closed = pdec is Decoration.MINUS
-        right_closed = qdec is Decoration.PLUS
-        return {
-            (False, False): BehaviorType.OPEN_OPEN,
-            (True, False): BehaviorType.CLOSED_OPEN,
-            (False, True): BehaviorType.OPEN_CLOSED,
-            (True, True): BehaviorType.CLOSED_CLOSED,
-        }[(left_closed, right_closed)]
+        return BehaviorType.of(pdec is Decoration.MINUS, qdec is Decoration.PLUS)
 
     def interval_str(self, p: float, q: float) -> str:
         lo = "[" if self.left_closed else "("

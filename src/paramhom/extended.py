@@ -40,7 +40,7 @@ from bisect import bisect_left
 from enum import Enum
 from typing import Mapping
 
-from .complexes import induced_homology_map
+from .complexes import induced_homology_map, label_columns
 from .diagrams import BehaviorType, DecoratedDiagram, Rectangle
 from .levelset import all_diagrams
 from .rspace import ConstructibleRSpace
@@ -95,8 +95,7 @@ def extended_module(X: ConstructibleRSpace, k: int, R: Rectangle) -> ZigzagModul
                 for t in reversed(corners)])
     arrows = []
     for src, tgt in zip(bases, bases[1:]):
-        position = {x: c for c, x in enumerate(tgt.complex.labels.get(k, []))}
-        columns = [position.get(x, -1) for x in src.complex.labels.get(k, [])]
+        columns = label_columns(src.complex.labels.get(k, []), tgt.complex, k)
         arrows.append((FORWARD, induced_homology_map(src, tgt, columns)))
     return ZigzagModule(X.field, [h.rank for h in bases], arrows)
 

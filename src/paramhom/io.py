@@ -5,7 +5,8 @@ critical values, one simplicial complex per critical value and per gap, and
 the two attaching vertex tables per gap.  Simplices are lists of nonnegative
 integer vertex ids and may list only maximal faces; closure is taken on
 load.  A vertex table keys each source vertex once, by the plain decimal
-of its id ("3", not "03", "+3" or " 3").  A diagram document is a flat
+of its id ("3", not "03", "+3" or " 3"), and no JSON object in a file may
+repeat a key.  A diagram document is a flat
 list of entries, one per diagram point, sorted by (dim, type, birth,
 death).
 
@@ -101,12 +102,14 @@ def _parse_vertex_table(obj, where: str) -> dict[int, int]:
         raise InputError(f"{where}: expected a vertex table")
     table = {}
     for k, v in obj.items():
-        try:
-            key = int(k)
-        except (TypeError, ValueError):
-            key = None
-        # a string key must be the canonical decimal of its id: "01", " 3 "
-        # and "+4" would otherwise name a vertex another key may name too
+        # an int id or its canonical decimal: "01", " 3 ", "+4", 1.7 and True
+        # would all read as ids, which another key may name too
+        key = k if isinstance(k, int) and not isinstance(k, bool) else None
+        if isinstance(k, str):
+            try:
+                key = int(k)
+            except ValueError:
+                pass
         if key is None or (isinstance(k, str) and k != str(key)):
             raise InputError(f"{where}: bad vertex id {k!r}")
         if isinstance(v, bool) or not isinstance(v, int) or key < 0 or v < 0:
@@ -168,10 +171,19 @@ def parse_space(doc: Any) -> tuple[ConstructibleRSpace, int]:
     return X, max_dim
 
 
+def _unique_keys(pairs: list[tuple[str, Any]]) -> dict:
+    obj = {}
+    for k, v in pairs:
+        if k in obj:
+            raise ValueError(f"repeated key {k!r}")
+        obj[k] = v
+    return obj
+
+
 def _load_json(path: str) -> Any:
     try:
         with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
+            return json.load(fh, object_pairs_hook=_unique_keys)
     except OSError as e:
         raise InputError(f"cannot read {path}: {e}") from e
     except ValueError as e:  # bad JSON, bad UTF-8, or an over-long integer

@@ -86,12 +86,7 @@ def translate(multiplicities: Mapping[tuple[int, int], int],
         if not (1 <= lo <= hi <= 2 * n + 1):
             raise ValueError(f"interval [{lo}, {hi}] out of range for n={n}")
         left, right, lc, rc = _endpoints(lo, hi, vals, n)
-        btype = {
-            (True, True): BehaviorType.CLOSED_CLOSED,
-            (True, False): BehaviorType.CLOSED_OPEN,
-            (False, True): BehaviorType.OPEN_CLOSED,
-            (False, False): BehaviorType.OPEN_OPEN,
-        }[(lc, rc)]
+        btype = BehaviorType.of(lc, rc)
         pdec, qdec = btype.decorations
         out[btype].add(DecoratedPoint(left, pdec, right, qdec), mult)
     return out

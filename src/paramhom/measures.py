@@ -4,13 +4,14 @@ A rectangle R = [a, b] x [c, d] below the diagonal selects a 7-node zigzag
 
     X_a^a -> X_a^b <- X_b^b -> X_b^c <- X_c^c -> X_c^d <- X_d^d
 
-of fibers and slices.  Decomposing its degree-k homology into intervals,
-four multiplicities classify how a feature alive on [b, c] behaves at the
-two ends: "killed" at an end means it stops at the fiber node (interval ends
-at position 3 or 5), "expired" means it survives the outer slice but not
-the outer fiber (interval ends at 2 or 6).  The measure of each behaviour
-type is the corresponding interval multiplicity, and `measure_profile`
-reads all four from one decomposition.
+of fibers and slices, read from `X.slice_homology` alone: each slice comes
+with the maps from its two end fibers.  Decomposing its degree-k homology
+into intervals, four multiplicities classify how a feature alive on [b, c]
+behaves at the two ends: "killed" at an end means it stops at the fiber node
+(interval ends at position 3 or 5), "expired" means it survives the outer
+slice but not the outer fiber (interval ends at 2 or 6).  The measure of
+each behaviour type is the corresponding interval multiplicity, and
+`measure_profile` reads all four from one decomposition.
 
 The same numbers are obtained by counting decorated diagram points inside R
 (`DecoratedDiagram.count_in`), and the test suite exercises the agreement
@@ -40,27 +41,22 @@ PATTERNS: dict[BehaviorType, tuple[int, int]] = {
 }
 
 
+def _slice_zigzag(X: ConstructibleRSpace, k: int, corners) -> ZigzagModule:
+    """F_t0 -> S_t0t1 <- F_t1 -> ... <- F_tm over corners t0 < ... < tm.
+
+    A fiber's rank is the width of the arrows out of it.
+    """
+    dims, arrows = [], []
+    for p, q in zip(corners, corners[1:]):
+        h, from_p, from_q = X.slice_homology(p, q, k)
+        dims += [from_p.shape[1], h.rank]
+        arrows += [(FORWARD, from_p), (BACKWARD, from_q)]
+    return ZigzagModule(X.field, dims + [from_q.shape[1]], arrows)
+
+
 def rectangle_module(X: ConstructibleRSpace, k: int, R: Rectangle) -> ZigzagModule:
     """Degree-k homology zigzag over the corners of R."""
-    a, b, c, d = R.a, R.b, R.c, R.d
-    h_ab, into_ab_from_a, into_ab_from_b = X.slice_homology(a, b, k)
-    h_bc, into_bc_from_b, into_bc_from_c = X.slice_homology(b, c, k)
-    h_cd, into_cd_from_c, into_cd_from_d = X.slice_homology(c, d, k)
-    dims = (
-        X.fiber_homology(a, k).rank, h_ab.rank,
-        X.fiber_homology(b, k).rank, h_bc.rank,
-        X.fiber_homology(c, k).rank, h_cd.rank,
-        X.fiber_homology(d, k).rank,
-    )
-    arrows = [
-        (FORWARD, into_ab_from_a),
-        (BACKWARD, into_ab_from_b),
-        (FORWARD, into_bc_from_b),
-        (BACKWARD, into_bc_from_c),
-        (FORWARD, into_cd_from_c),
-        (BACKWARD, into_cd_from_d),
-    ]
-    return ZigzagModule(X.field, dims, arrows)
+    return _slice_zigzag(X, k, (R.a, R.b, R.c, R.d))
 
 
 def measure_profile(X: ConstructibleRSpace, k: int, R: Rectangle
@@ -78,8 +74,4 @@ def full_bar_count(X: ConstructibleRSpace, k: int, b: float, c: float) -> int:
     """
     if not b < c:
         raise ValueError(f"need b < c, got [{b}, {c}]")
-    h, into_from_b, into_from_c = X.slice_homology(b, c, k)
-    dims = (X.fiber_homology(b, k).rank, h.rank, X.fiber_homology(c, k).rank)
-    Z = ZigzagModule(X.field, dims,
-                     [(FORWARD, into_from_b), (BACKWARD, into_from_c)])
-    return decompose(Z).get((1, 3), 0)
+    return decompose(_slice_zigzag(X, k, (b, c))).get((1, 3), 0)

@@ -8,18 +8,18 @@ column maps (see complexes), read by the attachment homology maps and by
 the one chain model of the space, its levelset telescope: V_i lies over a_i
 and the cylinder of E_i over [a_i, a_{i+1}].  It is built and cached only
 per window `telescope(lo, hi)`, the telescope of V_lo..V_hi alone, which
-is the whole telescope's cells over [a_lo, a_hi] with blocks in the same
-order; a window from 0 labels its cells as the whole telescope does.
+is the whole telescope's cells over [a_lo, a_hi], found by label as every
+cell is; a window from 0 labels its cells as the whole telescope does.
 
 A slice f^{-1}[p, q] holding the critical values a_lo..a_hi retracts onto
 that window: an end p in the gap below a_lo snaps to a_lo through the
-cylinder of r_{lo-1}, and an end q above a_hi to a_hi through that of l_hi.
-So the sublevel set X^t is the slice (-inf, t].  The homology of a window
-is reduced once per degree (`window_homology`) and shared by every slice
-over it; slices with the same lo, hi and end fibers are the same, so their
-end maps are cached per such plan, not per numeric rectangle.  The pair
-(X, X_{a_j}) is, by excision, the window (0, j) modulo its V_j block; that
-quotient is built once per j and its homology reduced once per degree
+cylinder of r_{lo-1}, and an end q above a_hi to a_hi through that of l_hi,
+then includes by label.  So X^t is the slice (-inf, t].  The homology of a
+window is reduced once per degree (`window_homology`) and shared by every
+slice over it; slices with the same lo, hi and end fibers are the same, so
+their end maps are cached per such plan, not per numeric rectangle.  The
+pair (X, X_{a_j}) is, by excision, the window (0, j) modulo its V_j block;
+that quotient is built once per j and its homology reduced once per degree
 (`pair_homology`).  Instances are treated as immutable after construction.
 """
 
@@ -40,6 +40,7 @@ from .complexes import (
     homology,
     induced_chain_map,
     induced_homology_map,
+    label_columns,
     quotient_complex,
     telescope,
 )
@@ -191,9 +192,6 @@ class ConstructibleRSpace:
             self._homology[key] = homology(self.piece_chain(piece_key), k)
         return self._homology[key]
 
-    def fiber_homology(self, t: float, k: int) -> HomologyBasis:
-        return self.piece_homology(self._piece_key(t), k)
-
     def attachment_homology_map(self, i: int, side: str, k: int) -> np.ndarray:
         """Matrix of H_k(E_i) -> H_k(V_i) ("left") or H_k(V_{i+1}) ("right")."""
         key = ("attach", i, side, k)
@@ -242,40 +240,33 @@ class ConstructibleRSpace:
 
         With no critical value in [p, q] the slice is its one gap piece (or
         empty) and both maps are the identity.  Otherwise H_k is taken on
-        the telescope of the window [a_lo, a_hi]; an end fiber at a critical
-        value includes as its V block, and one in a gap maps into the V
-        block it abuts through r_{lo-1} or l_hi.
+        the telescope of the window [a_lo, a_hi].  An end fiber at a
+        critical value a_i includes by its labels ("v", i - lo, x); one in a
+        gap first attaches to the V block it abuts, by r_{lo-1} below the
+        window or l_hi above it, and an empty one maps by zeros.
         """
         plan = self.slice_plan(p, q)
         key = ("slice", plan, k)
         if key not in self._homology:
             lo, hi, fp, fq = plan
-            hp, hq = self.piece_homology(fp, k), self.piece_homology(fq, k)
             if lo > hi:
-                h = hp
+                h = self.piece_homology(fp, k)
                 mp = mq = self.field.identity(h.rank)
             else:
                 h = self.window_homology(lo, hi, k)
-                # the V blocks of the window come first, in order
-                off = sum(self.piece_chain(("V", i)).dim(k) for i in range(lo, hi))
-                mp = induced_homology_map(hp, h, *self._end_columns(fp, "right", 0, k))
-                mq = induced_homology_map(hq, h, *self._end_columns(fq, "left", off, k))
+                mp = self._end_map(h, lo, lo, fp, "right", k)
+                mq = self._end_map(h, lo, hi, fq, "left", k)
             self._homology[key] = (h, mp, mq)
         return self._homology[key]
 
-    def _end_columns(self, fiber: tuple[str, int] | None, side: str, offset: int,
-                     k: int) -> tuple:
-        """Degree-k column map of an end fiber into the V block at offset.
-
-        A critical fiber is that block; a gap fiber E_i maps into it by r_i
-        (side "right", at the lower end) or l_i (side "left", at the upper).
-        """
+    def _end_map(self, h: HomologyBasis, lo: int, i: int,
+                 fiber: tuple[str, int] | None, side: str, k: int) -> np.ndarray:
+        """H_k of an end fiber into h, the window from lo, through V_i."""
         if fiber is None:
-            return (), ()
+            return self.field.zeros(h.rank, 0)
+        V = self.piece_chain(("V", i))
+        into = induced_homology_map(self.piece_homology(("V", i), k), h, label_columns(
+            [("v", i - lo, x) for x in V.labels.get(k, [])], h.complex, k))
         if fiber[0] == "V":
-            n = self.piece_chain(fiber).dim(k)
-            return np.arange(offset, offset + n), np.ones(n, dtype=np.int64)
-        lm, rm = self.edge_chain_maps(fiber[1])
-        cols, coefs = (rm if side == "right" else lm).get(k, ((), ()))
-        cols = np.asarray(cols, dtype=np.int64)
-        return np.where(cols >= 0, cols + offset, -1), coefs
+            return into
+        return self.field.matmul(into, self.attachment_homology_map(fiber[1], side, k))

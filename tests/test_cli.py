@@ -113,6 +113,16 @@ class TestDiagram:
         assert main(["diagram", write_doc(tmp_path, "bad.json", doc)]) == 2
         assert "bad vertex id" in capsys.readouterr().err
 
+    def test_repeated_json_key_exit_2(self, tmp_path, capsys):
+        # json.load would keep the last "1" and read a valid circle
+        text = json.dumps(CIRCLE).replace('"right_maps": [{"0": 0, "1": 0}]',
+                                          '"right_maps": [{"0": 0, "1": 0, "1": 0}]')
+        assert '"1": 0, "1": 0' in text
+        path = tmp_path / "repeated.json"
+        path.write_text(text)
+        assert main(["diagram", str(path)]) == 2
+        assert "repeated key '1'" in capsys.readouterr().err
+
     def test_unreadable_file_exit_2(self, tmp_path, capsys):
         assert main(["diagram", str(tmp_path / "missing.json")]) == 2
         assert "error" in capsys.readouterr().err
@@ -176,6 +186,18 @@ class TestBottleneck:
         a, _ = self.make_diagrams(tmp_path, circle_path, capsys)
         assert main(["bottleneck", a, a, "--dim", "5", "--type", "oc"]) == 0
         assert capsys.readouterr().out == "0.000000000\n"
+
+    def test_repeated_json_key_exit_2(self, tmp_path, circle_path, capsys):
+        a, _ = self.make_diagrams(tmp_path, circle_path, capsys)
+        with open(a, encoding="utf-8") as fh:
+            text = fh.read()
+        # json.load would keep the last multiplicity, 2, of the first entry
+        path = tmp_path / "repeated.json"
+        path.write_text(text.replace('"multiplicity": 1',
+                                     '"multiplicity": 1, "multiplicity": 2', 1))
+        assert main(["bottleneck", a, str(path), "--dim", "0", "--type", "cc"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "repeated key 'multiplicity'" in err
 
     def test_overflowing_coordinates_exit_2(self, tmp_path, capsys):
         paths = []

@@ -102,6 +102,14 @@ class TestParseSpace:
         with pytest.raises(InputError, match="vertex 1 is mapped twice"):
             parse_space(doc)
 
+    @pytest.mark.parametrize("key", [1.7, True])
+    def test_non_integer_vertex_key(self, key):
+        # int() would read 1.7 and True as vertex 1, a valid table here
+        for maps in ("left_maps", "right_maps"):
+            doc = dict(CIRCLE_DOC, **{maps: [{0: 0, key: 0}]})
+            with pytest.raises(InputError, match="bad vertex id"):
+                parse_space(doc)
+
     def test_map_outside_target(self):
         doc = dict(CIRCLE_DOC, right_maps=[{"0": 7, "1": 0}])
         with pytest.raises(InputError, match="not a simplex"):

@@ -6,10 +6,11 @@ import pkgutil
 import random
 from collections import Counter
 
+import numpy as np
 import pytest
 
 import paramhom
-from paramhom import complexes
+from paramhom import complexes, rspace
 from paramhom.complexes import SimplicialComplex, homology
 from paramhom.diagrams import Rectangle
 from paramhom.checks import run_all
@@ -272,6 +273,56 @@ def test_window_is_columns_of_whole_telescope():
                 for k in S.degrees():
                     assert W.boundary(k).tobytes() == S.boundary(k).tobytes(), (name, lo, hi, k)
         assert X.telescope(0, n - 1) is full
+
+
+# Column orders a telescope could use, as sort keys on the labels; the sort
+# is stable, so each block keeps its own order.
+LAYOUTS = {
+    "edges_first": lambda label: label[0] == "v",
+    # V_0, V_1, E_0, V_2, E_1, ...: each E_t right after V_{t+1}
+    "by_level": lambda label: 2 * label[1] - 1 if label[0] == "v" else 2 * label[1] + 2,
+}
+
+
+def _permuted(T, key) -> complexes.ChainComplex:
+    """T with each degree's columns sorted by key(label), boundaries carried along."""
+    order = {k: sorted(range(T.dim(k)), key=lambda c: key(T.labels[k][c]))
+             for k in T.degrees()}
+    return complexes.ChainComplex(
+        T.field, {k: [T.labels[k][c] for c in cols] for k, cols in order.items()},
+        {k: T.boundary(k)[np.ix_(order.get(k - 1, []), cols)] for k, cols in order.items()})
+
+
+@pytest.mark.parametrize("layout", sorted(LAYOUTS))
+@pytest.mark.parametrize("field", [F2, F3], ids=["F2", "F3"])
+def test_answers_do_not_depend_on_telescope_layout(monkeypatch, field, layout):
+    # only the telescope knows where a block's columns sit: every other
+    # module finds cells by label, so reordering them changes no answer
+    def answers() -> dict:
+        rng = random.Random(21)
+        out = {}
+        for name, X in corpus.corpus(field).items():
+            rects = [corpus.random_rectangle(rng, X.critical_values) for _ in range(3)]
+            for k in range(max(X.max_piece_dimension(), 0) + 2):
+                for R in rects:
+                    out[name, k, R] = (measure_profile(X, k, R),
+                                       full_bar_count(X, k, R.b, R.c),
+                                       extended_profile(X, k, R))
+        return out
+
+    want = answers()
+    moved = []
+
+    def reordered(nodes, edges):
+        T = original(nodes, edges)
+        P = _permuted(T, LAYOUTS[layout])
+        moved.append(P.labels != T.labels)
+        return P
+
+    original = rspace.telescope
+    monkeypatch.setattr(rspace, "telescope", reordered)
+    assert answers() == want
+    assert any(moved)
 
 
 def test_relative_pieces_by_excision():
