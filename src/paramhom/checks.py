@@ -46,9 +46,9 @@ class CheckResult:
     detail: str
 
 
-def random_rectangle(rng: random.Random, critical_values: Sequence[float],
-                     regular: bool = False) -> Rectangle:
-    """A rectangle with corners near and between the critical values.
+def random_rectangle(rng: random.Random, critical_values: Sequence[float]
+                     ) -> Rectangle:
+    """A rectangle with corners on, near and between the critical values.
 
     Raises ValueError when the candidate corners round to fewer than four
     distinct floats, as for large or crowded critical values.
@@ -57,9 +57,7 @@ def random_rectangle(rng: random.Random, critical_values: Sequence[float],
     pool = [vals[0] - 0.75, vals[0] - 0.25, vals[-1] + 0.25, vals[-1] + 0.75]
     for lo, hi in zip(vals, vals[1:]):
         pool.extend(lo + f * (hi - lo) for f in (0.25, 0.5, 0.75))
-    if not regular:
-        pool.extend(vals)
-    pool = list(dict.fromkeys(pool))
+    pool = list(dict.fromkeys(pool + vals))
     if len(pool) < 4:
         raise ValueError(f"critical values {vals} leave only {len(pool)} distinct "
                          "rectangle corners, 4 needed")
@@ -172,11 +170,13 @@ def restriction_suite(rng: random.Random, modules: int = 30) -> CheckResult:
 
 def equivalence_suite(X: ConstructibleRSpace, rng: random.Random,
                       samples: int = 20) -> CheckResult:
-    """Direct measures equal diagram point counts on regular rectangles."""
+    """Direct measures equal diagram point counts on every rectangle,
+    corners on critical values included, where only the decorations decide
+    which diagram points count."""
     diagrams = {k: all_diagrams(X, k) for k in _dims(X)}
     checked = 0
     for _ in range(samples):
-        R = random_rectangle(rng, X.critical_values, regular=True)
+        R = random_rectangle(rng, X.critical_values)
         for k in _dims(X):
             profile = measure_profile(X, k, R)
             for t in BehaviorType:
@@ -223,7 +223,7 @@ def correspondence_suite(X: ConstructibleRSpace, rng: random.Random,
     the relative half."""
     checked = 0
     for _ in range(samples):
-        R = random_rectangle(rng, X.critical_values, regular=True)
+        R = random_rectangle(rng, X.critical_values)
         ext = {k: extended_profile(X, k, R)
                for k in range(max(X.max_piece_dimension(), 0) + 2)}
         for k in _dims(X):

@@ -175,7 +175,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--type", required=True, choices=type_codes)
     p.set_defaults(func=cmd_bottleneck)
 
-    p = sub.add_parser("stability", help="compare two spaces against the stability bound")
+    p = sub.add_parser(
+        "stability", help="compare two spaces against the stability bound",
+        description="Compare two spaces that differ only in their critical values "
+                    "against the stability bound. This checks reparametrization "
+                    "only: both spaces have the same levelset zigzag.")
     p.add_argument("input_a")
     p.add_argument("input_b")
     p.add_argument("--tolerance", type=float, default=1e-9)

@@ -2,18 +2,22 @@
 
 A feature interval has one of four endpoint behaviours, encoded as a
 BehaviorType: each end is closed (the feature is present at the endpoint
-value) or open (it vanishes there).  A decorated point stores the endpoint
-values plus one decoration per coordinate; the decoration says on which side
-of a rectangle edge the point is counted:
+value) or open (it vanishes there).  A decorated point (p*, q*) stores each
+end as a decorated real, x^- just below x or x^+ just above it, so that
+y < x^- < x < x^+ < z whenever y < x < z (the decorated reals of Chazal, de
+Silva, Glisse and Oudot, "The Structure and Stability of Persistence
+Modules").  A closed left end is p^- and an open one p^+; a closed right
+end is q^+ and an open one q^-; an infinite end is open, -inf^+ or +inf^-.
+One order then decides validity and rectangle membership:
 
-    pdec = "+"  counts when p lies on the left edge  (open left end),
-    pdec = "-"  counts when p lies on the right edge (closed left end),
-    qdec = "+"  counts when q lies on the bottom edge (closed right end),
-    qdec = "-"  counts when q lies on the top edge    (open right end).
+    (p*, q*) is a point               iff  p* < q*,
+    (p*, q*) lies in [a, b] x [c, d]  iff  a < p* < b  and  c < q* < d,
 
-Consequently the decoration pair determines the behaviour type and vice
-versa, which is the content of the decoration-typing check in the test
-suite.
+so a point on a rectangle edge counts exactly when its decoration points
+into the rectangle, and the rectangle measures of a space equal its diagram
+counts on every rectangle, corners on critical values included.  The
+decoration pair determines the behaviour type and vice versa, which is the
+content of the decoration-typing check in the test suite.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 __all__ = [
     "BehaviorType",
@@ -48,11 +52,6 @@ class BehaviorType(Enum):
     OPEN_CLOSED = "oc"
     CLOSED_CLOSED = "cc"
 
-    @staticmethod
-    def of(left_closed: bool, right_closed: bool) -> "BehaviorType":
-        """The type whose left and right ends are closed as given."""
-        return BehaviorType("oc"[left_closed] + "oc"[right_closed])
-
     @property
     def left_closed(self) -> bool:
         return self.value[0] == "c"
@@ -69,12 +68,19 @@ class BehaviorType(Enum):
 
     @staticmethod
     def from_decorations(pdec: Decoration, qdec: Decoration) -> "BehaviorType":
-        return BehaviorType.of(pdec is Decoration.MINUS, qdec is Decoration.PLUS)
+        """The type whose ends are closed where p^- and q^+ say so."""
+        return BehaviorType("oc"[pdec is Decoration.MINUS] + "oc"[qdec is Decoration.PLUS])
 
     def interval_str(self, p: float, q: float) -> str:
         lo = "[" if self.left_closed else "("
         hi = "]" if self.right_closed else ")"
         return f"{lo}{p}, {q}{hi}"
+
+
+def _decorated(x: float, dec: Decoration) -> tuple[float, int]:
+    """x^+ or x^- as a pair whose tuple order is that of the decorated reals:
+    x^- = (x, -1) < (x, 0) < (x, 1) = x^+, where (x, 0) stands for x."""
+    return (x, 1 if dec is Decoration.PLUS else -1)
 
 
 @dataclass(frozen=True)
@@ -85,16 +91,13 @@ class DecoratedPoint:
     qdec: Decoration
 
     def __post_init__(self):
-        if not self.p <= self.q:
-            raise ValueError(f"need p <= q, got ({self.p}, {self.q})")
-        if self.p == math.inf or self.q == -math.inf:
-            raise ValueError("p must be < +inf and q > -inf")
+        if not _decorated(self.p, self.pdec) < _decorated(self.q, self.qdec):
+            raise ValueError(f"need p* < q*, got ({self.p}{self.pdec.value}, "
+                             f"{self.q}{self.qdec.value})")
         if self.p == -math.inf and self.pdec is not Decoration.PLUS:
             raise ValueError("a feature extending to -inf has no closed left end")
         if self.q == math.inf and self.qdec is not Decoration.MINUS:
             raise ValueError("a feature extending to +inf has no closed right end")
-        if self.p == self.q and (self.pdec, self.qdec) != (Decoration.MINUS, Decoration.PLUS):
-            raise ValueError("a width-zero feature is closed at both ends")
 
     @property
     def behavior_type(self) -> BehaviorType:
@@ -122,32 +125,18 @@ class Rectangle:
         if not (math.isfinite(self.b) and math.isfinite(self.c)):
             raise ValueError("the inner corners b, c must be finite")
 
-    def is_regular(self, critical_values: Sequence[float]) -> bool:
-        crit = set(critical_values)
-        return not any(v in crit for v in (self.a, self.b, self.c, self.d)
-                       if math.isfinite(v))
-
     def __repr__(self) -> str:
         return f"Rectangle([{self.a}, {self.b}] x [{self.c}, {self.d}])"
 
 
 def contains(R: Rectangle, pt: DecoratedPoint) -> bool:
-    """Decorated membership of a point in a rectangle.
+    """Whether a < p* < b and c < q* < d in the decorated order.
 
     Interior points always count; a point on an edge counts only when its
     decoration points into the rectangle.
     """
-    if not (R.a <= pt.p <= R.b and R.c <= pt.q <= R.d):
-        return False
-    if pt.p == R.a and pt.pdec is not Decoration.PLUS:
-        return False
-    if pt.p == R.b and pt.pdec is not Decoration.MINUS:
-        return False
-    if pt.q == R.c and pt.qdec is not Decoration.PLUS:
-        return False
-    if pt.q == R.d and pt.qdec is not Decoration.MINUS:
-        return False
-    return True
+    return ((R.a, 0) < _decorated(pt.p, pt.pdec) < (R.b, 0)
+            and (R.c, 0) < _decorated(pt.q, pt.qdec) < (R.d, 0))
 
 
 class DecoratedDiagram:
@@ -175,10 +164,6 @@ class DecoratedDiagram:
 
     def count_in(self, R: Rectangle) -> int:
         return sum(m for p, m in self._points.items() if m and contains(R, p))
-
-    def off_diagonal(self) -> "DecoratedDiagram":
-        """Copy without the width-zero points (which no rectangle contains)."""
-        return DecoratedDiagram({p: m for p, m in self._points.items() if p.p < p.q})
 
     def total(self) -> int:
         return sum(m for m in self._points.values() if m)

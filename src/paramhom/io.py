@@ -201,18 +201,13 @@ def load_space(path: str) -> tuple[ConstructibleRSpace, int]:
 
 def diagram_entries(by_dim: Mapping[int, Mapping[BehaviorType, DecoratedDiagram]]
                     ) -> list[dict]:
-    """Flatten diagrams into sorted document entries."""
-    entries = []
-    for dim in by_dim:
-        for btype, D in by_dim[dim].items():
-            for pt, m in D.points():
-                entries.append({"dim": dim, "type": btype.value,
-                                "birth": format_real(pt.p),
-                                "death": format_real(pt.q),
-                                "multiplicity": m})
-    entries.sort(key=lambda e: (e["dim"], e["type"],
-                                parse_real(e["birth"]), parse_real(e["death"])))
-    return entries
+    """Flatten diagrams into document entries, sorted by dim, type code,
+    birth and death."""
+    return [{"dim": dim, "type": btype.value, "birth": format_real(pt.p),
+             "death": format_real(pt.q), "multiplicity": m}
+            for dim in sorted(by_dim)
+            for btype, D in sorted(by_dim[dim].items(), key=lambda td: td[0].value)
+            for pt, m in D.points()]
 
 
 def dump_diagram(entries: list[dict]) -> str:

@@ -8,9 +8,9 @@ nodes, alternating gap fibers and critical fibers:
 where S_i is the fiber at the i-th critical value, F_i is the fiber over the
 open gap above it (F_0 below the first value and F_n above the last one are
 empty), and every arrow is induced by the attachment of a gap fiber to the
-critical fiber it abuts.  Decomposing this module and reading interval
-endpoints back through the node positions yields the four decorated
-diagrams.
+critical fiber it abuts.  Decomposing this module and reading each
+interval's ends off the decorated reals its end nodes span yields the four
+decorated diagrams.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .diagrams import BehaviorType, DecoratedDiagram, DecoratedPoint
+from .diagrams import BehaviorType, DecoratedDiagram, DecoratedPoint, Decoration
 from .rspace import ConstructibleRSpace
 from .zigzag import BACKWARD, FORWARD, ZigzagModule, decompose
 
@@ -45,50 +45,31 @@ def levelset_zigzag(X: ConstructibleRSpace, k: int) -> ZigzagModule:
     return ZigzagModule(X.field, dims, arrows)
 
 
-def _endpoints(lo: int, hi: int, vals: Sequence[float], n: int
-               ) -> tuple[float, float, bool, bool]:
-    """Map a node interval [lo, hi] (1-based positions) to value endpoints.
-
-    Returns (left, right, left_closed, right_closed).  A closed end sits at
-    a critical value; an open end at a gap fiber opens at the critical value
-    bounding that gap on the interval side (or at infinity for the outer
-    gaps).
-    """
-    if lo % 2 == 0:
-        left, left_closed = vals[lo // 2 - 1], True
-    else:
-        gap = (lo - 1) // 2
-        left = -math.inf if gap == 0 else vals[gap - 1]
-        left_closed = False
-    if hi % 2 == 0:
-        right, right_closed = vals[hi // 2 - 1], True
-    else:
-        gap = (hi - 1) // 2
-        right = math.inf if gap == n else vals[gap]
-        right_closed = False
-    return left, right, left_closed, right_closed
-
-
 def translate(multiplicities: Mapping[tuple[int, int], int],
               critical_values: Sequence[float]
               ) -> dict[BehaviorType, DecoratedDiagram]:
     """Turn an interval decomposition of a levelset zigzag into diagrams.
 
     Keys of `multiplicities` are 1-based node position pairs on the 2n + 1
-    node module over the given critical values.
+    node module over the given critical values.  Node j spans the decorated
+    reals from ends[j - 1] to ends[j]: the fiber at a critical value a spans
+    a^- to a^+, a gap fiber between a and b spans a^+ to b^-, and the outer
+    gaps run from -inf^+ and to +inf^-.  The interval [lo, hi] is the
+    decorated point (ends[lo - 1], ends[hi]).
     """
     vals = [float(v) for v in critical_values]
     n = len(vals)
+    plus, minus = Decoration.PLUS, Decoration.MINUS
+    ends = ([(-math.inf, plus)] + [(v, dec) for v in vals for dec in (minus, plus)]
+            + [(math.inf, minus)])
     out = {t: DecoratedDiagram() for t in BehaviorType}
     for (lo, hi), mult in sorted(multiplicities.items()):
         if mult == 0:
             continue
         if not (1 <= lo <= hi <= 2 * n + 1):
             raise ValueError(f"interval [{lo}, {hi}] out of range for n={n}")
-        left, right, lc, rc = _endpoints(lo, hi, vals, n)
-        btype = BehaviorType.of(lc, rc)
-        pdec, qdec = btype.decorations
-        out[btype].add(DecoratedPoint(left, pdec, right, qdec), mult)
+        pt = DecoratedPoint(*ends[lo - 1], *ends[hi])
+        out[pt.behavior_type].add(pt, mult)
     return out
 
 

@@ -27,8 +27,9 @@ def random_rectangle(rng: random.Random, critical_values,
                      regular: bool = False) -> Rectangle:
     """Random valid rectangle with corners near the critical range.
 
-    With regular=True the finite corners avoid the critical values, which is
-    where the direct and diagram measure routes are guaranteed to agree.
+    With regular=True the finite corners avoid the critical values, where
+    every diagram end sits, so that no point lies on an edge.  The direct
+    and diagram measure routes agree on every rectangle either way.
     """
     vals = sorted(set(float(v) for v in critical_values))
     lo, hi = vals[0], vals[-1]

@@ -18,6 +18,9 @@ dense_homology_map are the dense route to homology maps: a basis extension
 inverted in full, chain maps as commutation-checked matrices (simplicial
 maps with signs counted by inversions, coordinate maps as 0/1 blocks), and
 the two multiplied out.
+five_rule_valid and edge_rule_contains state point validity and rectangle
+membership rule by rule, one branch per infinity, diagonal and edge case,
+for the tests that hold the decorated order of paramhom.diagrams to them.
 """
 
 from __future__ import annotations
@@ -33,7 +36,8 @@ import numpy as np
 # the one random-module generator, shared with checks.restriction_suite
 from paramhom.checks import _random_zigzag as random_zigzag
 from paramhom.complexes import ChainComplex, HomologyBasis
-from paramhom.diagrams import BehaviorType, DecoratedDiagram, DecoratedPoint, Rectangle
+from paramhom.diagrams import (BehaviorType, DecoratedDiagram, DecoratedPoint, Decoration,
+                               Rectangle)
 from paramhom.fieldlin import PrimeField
 from paramhom.zigzag import FORWARD, DecompositionError, ZigzagModule
 
@@ -475,6 +479,36 @@ def slot_bottleneck(a_pts, b_pts) -> float:
         else:
             lo = mid + 1
     return float(ordered[lo])
+
+
+def five_rule_valid(p: float, pdec: Decoration, q: float, qdec: Decoration) -> bool:
+    """Point validity as five separate rules on values and decorations."""
+    if not p <= q:
+        return False
+    if p == math.inf or q == -math.inf:
+        return False
+    if p == -math.inf and pdec is not Decoration.PLUS:
+        return False
+    if q == math.inf and qdec is not Decoration.MINUS:
+        return False
+    if p == q and (pdec, qdec) != (Decoration.MINUS, Decoration.PLUS):
+        return False
+    return True
+
+
+def edge_rule_contains(R: Rectangle, pt: DecoratedPoint) -> bool:
+    """Membership as a closed range test, then one decoration rule per edge."""
+    if not (R.a <= pt.p <= R.b and R.c <= pt.q <= R.d):
+        return False
+    if pt.p == R.a and pt.pdec is not Decoration.PLUS:
+        return False
+    if pt.p == R.b and pt.pdec is not Decoration.MINUS:
+        return False
+    if pt.q == R.c and pt.qdec is not Decoration.PLUS:
+        return False
+    if pt.q == R.d and pt.qdec is not Decoration.MINUS:
+        return False
+    return True
 
 
 class MeasureNotAdditiveError(Exception):

@@ -84,7 +84,7 @@ def test_criterion_03_measure_diagram_equivalence():
     for name, X in spaces.items():
         diagrams = {k: all_diagrams(X, k) for k in degrees(X)}
         for _ in range(200):
-            R = random_rectangle(rng, X.critical_values, regular=True)
+            R = random_rectangle(rng, X.critical_values)
             for k in degrees(X):
                 profile = measure_profile(X, k, R)
                 for t in BehaviorType:
@@ -165,7 +165,7 @@ def test_criterion_09_extended_correspondence():
     for name, X in spaces.items():
         top = max(X.max_piece_dimension(), 0)
         for _ in range(per_space):
-            R = random_rectangle(rng, X.critical_values, regular=True)
+            R = random_rectangle(rng, X.critical_values)
             ext = {j: extended_profile(X, j, R) for j in range(top + 2)}
             for i in degrees(X):
                 para = measure_profile(X, i, R)

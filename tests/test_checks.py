@@ -1,6 +1,6 @@
 import random
 
-from paramhom import checks
+from paramhom import checks, diagrams
 from paramhom.checks import (
     additivity_suite,
     bound_suite,
@@ -54,6 +54,17 @@ class TestNegativeControl:
         assert "split" in r.detail and "Rectangle" in r.detail
         assert "type=oc" in r.detail
 
+    def test_decoration_blind_membership_is_caught(self, monkeypatch):
+        # corners on critical values, where every diagram end sits, are the
+        # only rectangles on which decorations decide membership
+        def blind(R, pt):
+            return R.a <= pt.p <= R.b and R.c <= pt.q <= R.d
+
+        monkeypatch.setattr(diagrams, "contains", blind)
+        failed = [name for name, X in corpus.corpus().items()
+                  if not equivalence_suite(X, random.Random(0), 20).passed]
+        assert failed
+
 
 def test_additivity_looks_up_measure_profile_when_called(monkeypatch):
     # a tracer patches module globals, so the default must not be bound early
@@ -70,13 +81,6 @@ def test_additivity_looks_up_measure_profile_when_called(monkeypatch):
 
 
 class TestRectangleSampler:
-    def test_respects_regularity(self):
-        rng = random.Random(9)
-        vals = (0.0, 1.0, 2.0)
-        for _ in range(50):
-            R = random_rectangle(rng, vals, regular=True)
-            assert R.is_regular(vals)
-
     def test_single_critical_value(self):
         rng = random.Random(2)
         for _ in range(20):

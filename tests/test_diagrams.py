@@ -1,3 +1,4 @@
+import itertools
 import math
 from collections import Counter
 
@@ -14,7 +15,8 @@ from paramhom.diagrams import (
     undecorate,
 )
 
-from oracles import MeasureNotAdditiveError, extract_diagram
+from oracles import (MeasureNotAdditiveError, edge_rule_contains, extract_diagram,
+                     five_rule_valid)
 
 OO = BehaviorType.OPEN_OPEN
 CO = BehaviorType.CLOSED_OPEN
@@ -85,11 +87,6 @@ class TestRectangle:
         with pytest.raises(ValueError):
             Rectangle(0.0, math.inf, 2.0, 3.0)
 
-    def test_is_regular(self):
-        R = Rectangle(-math.inf, 0.5, 1.5, math.inf)
-        assert R.is_regular([0.0, 1.0])
-        assert not Rectangle(0.0, 0.5, 1.5, 2.0).is_regular([0.0, 1.0])
-
 
 class TestContains:
     R = Rectangle(0.0, 1.0, 2.0, 3.0)
@@ -143,6 +140,33 @@ class TestContains:
         assert contains(R, point(-math.inf, math.inf, OO))
         assert contains(R, point(-math.inf, 1.0, OC))
         assert not contains(R, point(0.5, math.inf, CO))
+
+
+class TestDecoratedOrder:
+    """Validity and membership by the decorated order equal the rule-by-rule
+    oracles on every value pair of a grid, infinities included."""
+
+    GRID = [-math.inf, 0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0, math.inf]
+    CANDIDATES = [(p, pdec, q, qdec)
+                  for p, q in itertools.product(GRID, repeat=2)
+                  for pdec, qdec in itertools.product((PLUS, MINUS), repeat=2)]
+
+    def test_validity_matches_oracle(self):
+        for args in self.CANDIDATES:
+            try:
+                DecoratedPoint(*args)
+                valid = True
+            except ValueError:
+                valid = False
+            assert valid == five_rule_valid(*args), args
+
+    def test_membership_matches_oracle(self):
+        pts = [DecoratedPoint(*args) for args in self.CANDIDATES if five_rule_valid(*args)]
+        rects = [Rectangle(*c) for c in itertools.combinations(self.GRID, 4)]
+        assert len(rects) == 126
+        for R in rects:
+            for pt in pts:
+                assert contains(R, pt) == edge_rule_contains(R, pt), (R, pt)
 
 
 class TestDiagram:
