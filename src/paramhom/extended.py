@@ -15,13 +15,13 @@ measures, with a dimension shift of one for the two kinds that pass through
 relative homology; `extended_from_parametrized` applies that dictionary to
 whole diagrams.
 
-Every node is a homology the space caches (see rspace), so extended
-persistence builds no chain complex of its own.  X^t is the slice
-(-inf, t].  (X, X_t) is `X.pair_homology(j, k)` with a_j the first critical
-value >= t: by excision the window (0, j) modulo its V_j block, or the
-whole telescope when no a_j >= t.  Windows from 0 and their quotients label
-cells as the whole telescope does, so each arrow sends a source cell to the
-target cell with the same label, or to 0.
+Every node is a piece of the space (see rspace), whose homology it caches,
+so extended persistence builds no chain complex of its own.  X^t is the
+window ("W", 0, i) with a_i the last critical value <= t, or the empty
+piece below a_0.  (X, X_t) is the pair ("P", j) with a_j the first critical
+value >= t, or the whole telescope ("W", 0, n - 1) when no a_j >= t.
+Windows from 0 and pairs label cells as the whole telescope does, so each
+arrow sends a source cell to the target cell with the same label, or to 0.
 
 A corner t in a gap (a_i, a_{i+1}) snaps to a critical value, as a gap end
 of a slice does: X^t is taken as the telescope of X^{a_i} and X_t as that
@@ -35,8 +35,7 @@ critical value and no new space.
 
 from __future__ import annotations
 
-import math
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from enum import Enum
 from typing import Mapping
 
@@ -89,10 +88,13 @@ PARAMETRIZED: dict[ExtendedType, tuple[BehaviorType, int]] = {
 
 def extended_module(X: ConstructibleRSpace, k: int, R: Rectangle) -> ZigzagModule:
     """Degree-k homology of the eight-node filtration selected by R."""
+    vals = X.critical_values
     corners = (R.a, R.b, R.c, R.d)
-    bases = ([X.slice_homology(-math.inf, t, k)[0] for t in corners]
-             + [X.pair_homology(bisect_left(X.critical_values, t), k)
-                for t in reversed(corners)])
+    pieces = ([("W", 0, bisect_right(vals, t) - 1) if t >= vals[0] else None
+               for t in corners]
+              + [("P", bisect_left(vals, t)) if t <= vals[-1] else ("W", 0, X.n_critical - 1)
+                 for t in reversed(corners)])
+    bases = [X.piece_homology(key, k) for key in pieces]
     arrows = []
     for src, tgt in zip(bases, bases[1:]):
         columns = label_columns(src.complex.labels.get(k, []), tgt.complex, k)

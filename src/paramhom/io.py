@@ -4,10 +4,10 @@ An input document describes a constructible space piecewise: the sorted
 critical values, one simplicial complex per critical value and per gap, and
 the two attaching vertex tables per gap.  Simplices are lists of nonnegative
 integer vertex ids and may list only maximal faces; closure is taken on
-load.  A vertex table keys each source vertex once, by the plain decimal
-of its id ("3", not "03", "+3" or " 3"), and no JSON object in a file may
-repeat a key.  A diagram document is a flat
-list of entries, one per diagram point, sorted by (dim, type, birth,
+load.  A vertex table keys each vertex of its gap fiber exactly once, and
+no other, by the plain decimal of its id ("3", not "03", "+3" or " 3"),
+and no JSON object in a file may repeat a key.  A diagram document is a
+flat list of entries, one per diagram point, sorted by (dim, type, birth,
 death).
 
 Real values serialize as plain JSON numbers, integers without a decimal

@@ -6,21 +6,23 @@ vertex maps l_i: E_i -> V_i, r_i: E_i -> V_{i+1} describing how the regular
 fiber collapses onto the critical ones.  The chain maps of l_i and r_i are
 column maps (see complexes), read by the attachment homology maps and by
 the one chain model of the space, its levelset telescope: V_i lies over a_i
-and the cylinder of E_i over [a_i, a_{i+1}].  It is built and cached only
-per window `telescope(lo, hi)`, the telescope of V_lo..V_hi alone, which
-is the whole telescope's cells over [a_lo, a_hi], found by label as every
-cell is; a window from 0 labels its cells as the whole telescope does.
+and the cylinder of E_i over [a_i, a_{i+1}].
+
+Every chain model is a piece, built once by `piece_chain(key)` and reduced
+once per degree by `piece_homology(key, k)`: the fibers None (empty),
+("V", i) and ("E", i); the window ("W", lo, hi), the telescope of
+V_lo..V_hi alone, which is the whole telescope's cells over [a_lo, a_hi],
+found by label as every cell is (a window from 0 labels its cells as the
+whole telescope does); and the pair ("P", j), which is (X, X_{a_j}) by
+excision: the window (0, j) modulo its V_j block.
 
 A slice f^{-1}[p, q] holding the critical values a_lo..a_hi retracts onto
-that window: an end p in the gap below a_lo snaps to a_lo through the
+its window: an end p in the gap below a_lo snaps to a_lo through the
 cylinder of r_{lo-1}, and an end q above a_hi to a_hi through that of l_hi,
-then includes by label.  So X^t is the slice (-inf, t].  The homology of a
-window is reduced once per degree (`window_homology`) and shared by every
-slice over it; slices with the same lo, hi and end fibers are the same, so
-their end maps are cached per such plan, not per numeric rectangle.  The
-pair (X, X_{a_j}) is, by excision, the window (0, j) modulo its V_j block;
-that quotient is built once per j and its homology reduced once per degree
-(`pair_homology`).  Instances are treated as immutable after construction.
+then includes by label.  So X^t is the slice (-inf, t].  Slices with the
+same lo, hi and end fibers are the same, so their end maps are cached per
+such plan, not per numeric rectangle.  Instances are treated as immutable
+after construction.
 """
 
 from __future__ import annotations
@@ -77,8 +79,6 @@ class ConstructibleRSpace:
             raise ValueError("need one left and one right map per gap")
         self._chain: dict = {}
         self._edge_maps: dict = {}
-        self._telescopes: dict = {}
-        self._pairs: dict = {}
         self._homology: dict = {}
 
     # -- structural validation ----------------------------------------------
@@ -87,11 +87,16 @@ class ConstructibleRSpace:
         """Check the attaching maps; returns [] when the model is sound."""
         problems = []
         for i, E in enumerate(self.edge_complexes):
+            in_fiber = set(E.vertices)
             for side, vmap, V in (("left", self.left_maps[i], self.vertex_complexes[i]),
                                   ("right", self.right_maps[i], self.vertex_complexes[i + 1])):
                 for v in E.vertices:
                     if v not in vmap:
                         problems.append(f"gap {i}: {side} map undefined on vertex {v!r}")
+                for v in vmap:
+                    if v not in in_fiber:
+                        problems.append(f"gap {i}: {side} map names vertex {v!r}, "
+                                        "which is not in the gap fiber")
                 for k, simps in E.simplices.items():
                     for s in simps:
                         try:
@@ -104,7 +109,7 @@ class ConstructibleRSpace:
                                 f"gap {i}: {side} image {img!r} of {s!r} is not a simplex")
         return problems
 
-    # -- fibers --------------------------------------------------------------
+    # -- pieces --------------------------------------------------------------
 
     @property
     def n_critical(self) -> int:
@@ -135,9 +140,35 @@ class ConstructibleRSpace:
                 return self.edge_complexes[i]
         raise ValueError(f"no piece {key!r} in a space with {self.n_critical} critical values")
 
-    def piece_chain(self, key: tuple[str, int] | None) -> ChainComplex:
+    def piece_chain(self, key: tuple | None) -> ChainComplex:
+        """Chain model of a fiber (see `piece`), a window ("W", lo, hi) or a
+        pair ("P", j), built once.
+
+        The window is the telescope V_lo <- E_lo -> ... V_hi, its labels
+        numbering the blocks from 0, not from lo; it needs 0 <= lo <= hi <
+        n_critical.  The pair (X, X_{a_j}), j < n_critical, is the window
+        (0, j) modulo its V_j block: every telescope cell lies over
+        (-inf, a_j] or over [a_j, inf), and the two meet in V_j.  Its cells
+        keep the window's labels and column order.
+        """
         if key not in self._chain:
-            self._chain[key] = chain_complex(self.piece(key), self.field)
+            match key:
+                case ("W", int(lo), int(hi)):
+                    if not 0 <= lo <= hi < self.n_critical:
+                        raise ValueError(f"no window ({lo}, {hi}) of critical values "
+                                         f"0..{self.n_critical - 1}")
+                    C = telescope(
+                        [self.piece_chain(("V", i)) for i in range(lo, hi + 1)],
+                        [(self.piece_chain(("E", i)), *self.edge_chain_maps(i))
+                         for i in range(lo, hi)])
+                case ("P", int(j)) if 0 <= j < self.n_critical:
+                    W = self.piece_chain(("W", 0, j))
+                    C, _ = quotient_complex(
+                        W, {d: [c for c, (tag, i, _) in enumerate(labels) if tag == "v" and i == j]
+                            for d, labels in W.labels.items()})
+                case _:
+                    C = chain_complex(self.piece(key), self.field)
+            self._chain[key] = C
         return self._chain[key]
 
     def levelset(self, t: float) -> SimplicialComplex:
@@ -158,19 +189,8 @@ class ConstructibleRSpace:
     # -- the telescope and its slices -----------------------------------------
 
     def telescope(self, lo: int = 0, hi: int | None = None) -> ChainComplex:
-        """The levelset telescope V_lo <- E_lo -> ... V_hi, cached per window.
-
-        By default the whole space; labels number the blocks from 0, not from
-        lo.  Raises ValueError unless 0 <= lo <= hi < n_critical.
-        """
-        hi = self.n_critical - 1 if hi is None else hi
-        if not 0 <= lo <= hi < self.n_critical:
-            raise ValueError(f"no window ({lo}, {hi}) of critical values 0..{self.n_critical - 1}")
-        if (lo, hi) not in self._telescopes:
-            self._telescopes[lo, hi] = telescope(
-                [self.piece_chain(("V", i)) for i in range(lo, hi + 1)],
-                [(self.piece_chain(("E", i)), *self.edge_chain_maps(i)) for i in range(lo, hi)])
-        return self._telescopes[lo, hi]
+        """The window ("W", lo, hi) piece; by default the whole space."""
+        return self.piece_chain(("W", lo, self.n_critical - 1 if hi is None else hi))
 
     def slice_plan(self, p: float, q: float) -> tuple:
         """(lo, hi, fiber at p, fiber at q) of the slice f^{-1}[p, q].
@@ -186,7 +206,8 @@ class ConstructibleRSpace:
 
     # -- homology with plan-level caching ---------------------------------------
 
-    def piece_homology(self, piece_key: tuple[str, int] | None, k: int) -> HomologyBasis:
+    def piece_homology(self, piece_key: tuple | None, k: int) -> HomologyBasis:
+        """H_k of the piece `piece_chain(piece_key)`, reduced once."""
         key = ("fiber", piece_key, k)
         if key not in self._homology:
             self._homology[key] = homology(self.piece_chain(piece_key), k)
@@ -205,33 +226,6 @@ class ConstructibleRSpace:
             else:
                 raise ValueError(f"side must be 'left' or 'right', got {side!r}")
             self._homology[key] = induced_homology_map(src, tgt, *f.get(k, ((), ())))
-        return self._homology[key]
-
-    def window_homology(self, lo: int, hi: int, k: int) -> HomologyBasis:
-        """H_k of the window `telescope(lo, hi)`, shared by every slice over it."""
-        key = ("window", lo, hi, k)
-        if key not in self._homology:
-            self._homology[key] = homology(self.telescope(lo, hi), k)
-        return self._homology[key]
-
-    def pair_homology(self, j: int, k: int) -> HomologyBasis:
-        """H_k of the pair (X, X_{a_j}), or of X itself when j = n_critical.
-
-        By excision it is the window (0, j) modulo its V_j block: every
-        telescope cell lies over (-inf, a_j] or over [a_j, inf), and the
-        two meet in V_j.  Cells keep the window's labels and column order;
-        the quotient is built once per j and shared by every degree.
-        """
-        if j == self.n_critical:
-            return self.window_homology(0, j - 1, k)
-        key = ("pair", j, k)
-        if key not in self._homology:
-            if j not in self._pairs:
-                W = self.telescope(0, j)
-                self._pairs[j], _ = quotient_complex(
-                    W, {d: [c for c, (tag, i, _) in enumerate(labels) if tag == "v" and i == j]
-                        for d, labels in W.labels.items()})
-            self._homology[key] = homology(self._pairs[j], k)
         return self._homology[key]
 
     def slice_homology(self, p: float, q: float, k: int
@@ -253,7 +247,7 @@ class ConstructibleRSpace:
                 h = self.piece_homology(fp, k)
                 mp = mq = self.field.identity(h.rank)
             else:
-                h = self.window_homology(lo, hi, k)
+                h = self.piece_homology(("W", lo, hi), k)
                 mp = self._end_map(h, lo, lo, fp, "right", k)
                 mq = self._end_map(h, lo, hi, fq, "left", k)
             self._homology[key] = (h, mp, mq)

@@ -7,45 +7,22 @@ the code under test.  constant_doc writes a fiber held constant, and
 point_doc a point over given critical values, as CLI input documents.  The
 helpers at the end refine a space at regular values, re-parametrize it,
 flip its coordinate, and count the Euler characteristic of a chain complex.
+`random_rectangle` is the library's one rectangle sampler,
+`paramhom.checks.random_rectangle`, named here for the tests.
 """
 
 from __future__ import annotations
 
-import math
 import random
 from typing import Sequence
 
+from paramhom.checks import random_rectangle  # noqa: F401  (re-exported)
 from paramhom.complexes import ChainComplex, SimplicialComplex
 from paramhom.diagrams import Rectangle
 from paramhom.fieldlin import PrimeField
 from paramhom.rspace import ConstructibleRSpace
 
 F2 = PrimeField(2)
-
-
-def random_rectangle(rng: random.Random, critical_values,
-                     regular: bool = False) -> Rectangle:
-    """Random valid rectangle with corners near the critical range.
-
-    With regular=True the finite corners avoid the critical values, where
-    every diagram end sits, so that no point lies on an edge.  The direct
-    and diagram measure routes agree on every rectangle either way.
-    """
-    vals = sorted(set(float(v) for v in critical_values))
-    lo, hi = vals[0], vals[-1]
-    pts = set() if regular else set(vals)
-    pts.update((lo - 0.75, lo - 0.25, hi + 0.25, hi + 0.75))
-    for a, b in zip(vals, vals[1:]):
-        gap = b - a
-        pts.update((a + 0.25 * gap, a + 0.5 * gap, a + 0.75 * gap))
-    use_ninf = rng.random() < 0.2
-    use_pinf = rng.random() < 0.2
-    corners = sorted(rng.sample(sorted(pts), 4 - use_ninf - use_pinf))
-    if use_ninf:
-        corners = [-math.inf] + corners
-    if use_pinf:
-        corners = corners + [math.inf]
-    return Rectangle(*corners)
 
 
 def circle(field=F2) -> ConstructibleRSpace:

@@ -45,7 +45,9 @@ def test_cache_probes_see_the_cache():
     X = corpus.vertical_torus()
     vals = X.critical_values
     probes = [(tracer._fiber_hit, X.piece_homology, (piece, k))
-              for piece in (("V", 0), ("E", 1), None) for k in (0, 1)]
+              for piece in (("V", 0), ("E", 1), None, ("W", 0, len(vals) - 1), ("W", 1, 2),
+                            ("P", 0), ("P", 2))
+              for k in (0, 1)]
     probes += [(tracer._attach_hit, X.attachment_homology_map, (0, side, k))
                for side in ("left", "right") for k in (0, 1)]
     probes += [(tracer._slice_hit, X.slice_homology, (p, q, k))

@@ -113,6 +113,11 @@ class TestDiagram:
         assert main(["diagram", write_doc(tmp_path, "bad.json", doc)]) == 2
         assert "bad vertex id" in capsys.readouterr().err
 
+    def test_vertex_outside_gap_fiber_exit_2(self, tmp_path, capsys):
+        doc = dict(CIRCLE, left_maps=[{"0": 0, "1": 0, "7": 0}])
+        assert main(["diagram", write_doc(tmp_path, "bad.json", doc)]) == 2
+        assert "names vertex 7, which is not in the gap fiber" in capsys.readouterr().err
+
     def test_repeated_json_key_exit_2(self, tmp_path, capsys):
         # json.load would keep the last "1" and read a valid circle
         text = json.dumps(CIRCLE).replace('"right_maps": [{"0": 0, "1": 0}]',

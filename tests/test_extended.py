@@ -106,7 +106,7 @@ class TestCorrespondence:
         rng = random.Random(len(name))
         kmax = max(X.max_piece_dimension(), 0)
         for _ in range(6):
-            R = corpus.random_rectangle(rng, X.critical_values, regular=True)
+            R = corpus.random_rectangle(rng, X.critical_values)
             ext = {k: extended_profile(X, k, R) for k in range(kmax + 2)}
             for k in range(kmax + 1):
                 par = measure_profile(X, k, R)
@@ -118,14 +118,17 @@ class TestCorrespondence:
 def test_snapped_corners_match_refined_space(p):
     # the module over X's own telescope, with gap corners snapped to critical
     # values, decomposes like the module over X refined at those corners
+    refined = []
     for name, X in corpus.corpus(PrimeField(p)).items():
         rng = random.Random(f"{name}/{p}")
         degrees = range(max(X.max_piece_dimension(), 0) + 2)
-        for i in range(6):
-            R = corpus.random_rectangle(rng, X.critical_values, regular=i % 2 == 0)
+        for _ in range(6):
+            R = corpus.random_rectangle(rng, X.critical_values)
             Y = corpus.refine(X, [v for v in (R.a, R.b, R.c, R.d) if math.isfinite(v)])
+            refined.append(Y is not X)
             for k in degrees:
                 assert extended_profile(X, k, R) == extended_profile(Y, k, R), (name, k, R)
+    assert any(refined) and not all(refined)  # corners in gaps and on critical values
 
 
 class TestAdditivity:

@@ -110,6 +110,14 @@ class TestParseSpace:
             with pytest.raises(InputError, match="bad vertex id"):
                 parse_space(doc)
 
+    def test_map_names_vertex_outside_gap_fiber(self):
+        # the gap fiber has vertices 0 and 1 only; vertex 7 would be dropped
+        for maps in ("left_maps", "right_maps"):
+            doc = dict(CIRCLE_DOC, **{maps: [{"0": 0, "1": 0, "7": 0}]})
+            with pytest.raises(InputError, match=f"gap 0: {maps[:-5]} map names vertex 7, "
+                               "which is not in the gap fiber"):
+                parse_space(doc)
+
     def test_map_outside_target(self):
         doc = dict(CIRCLE_DOC, right_maps=[{"0": 7, "1": 0}])
         with pytest.raises(InputError, match="not a simplex"):

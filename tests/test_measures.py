@@ -130,7 +130,7 @@ class TestEquivalence:
             diagrams = {k: all_diagrams(X, k)
                         for k in range(X.max_piece_dimension() + 1)}
             for _ in range(15):
-                R = corpus.random_rectangle(rng, X.critical_values, regular=True)
+                R = corpus.random_rectangle(rng, X.critical_values)
                 for k, by_type in diagrams.items():
                     profile = measure_profile(X, k, R)
                     for t in BehaviorType:

@@ -326,19 +326,18 @@ def test_answers_do_not_depend_on_telescope_layout(monkeypatch, field, layout):
 
 
 def test_relative_pieces_by_excision():
-    # (X, X_{a_j}) as the window (0, j) modulo its V_j block equals the whole
-    # telescope modulo the cells over [a_j, inf)
+    # the pair ("P", j), (X, X_{a_j}) as the window (0, j) modulo its V_j
+    # block, equals the whole telescope modulo the cells over [a_j, inf)
     for name, X in corpus.corpus(F3).items():
-        n = X.n_critical
         full = X.telescope()
-        for j in range(n + 1):
+        for j in range(X.n_critical):
             want, _ = complexes.quotient_complex(full, _blocks(full, lambda tag, i: i >= j))
             for k in range(3):
-                got = X.pair_homology(j, k).complex
+                got = X.piece_homology(("P", j), k).complex
+                assert got is X.piece_chain(("P", j)), (name, j, k)
                 assert got.labels == want.labels, (name, j, k)
                 for d in want.degrees():
                     assert got.boundary(d).tobytes() == want.boundary(d).tobytes(), (name, j, d)
-        assert X.pair_homology(n, 0).complex is full
 
 
 @pytest.fixture
@@ -370,18 +369,13 @@ def test_extended_profile_twice_reduces_nothing_new(reductions):
 
 
 def test_validate_reduces_each_window_and_pair_once(reductions):
+    # every homology taken is of a cached piece, and each once per degree
     X = corpus.tube_space(7, 5)
     run_all(X, random.Random(1), 1)
-    windows = {id(T): key for key, T in X._telescopes.items()}
-    fibers = {id(C) for C in X._chain.values()}
-    seen = Counter()
-    for C, k in reductions:
-        if id(C) in windows:
-            seen["window", windows[id(C)], k] += 1
-        elif id(C) not in fibers:  # a pair: a window from 0 modulo its top block
-            seen["pair", tuple(map(tuple, C.labels.values())), k] += 1
-    assert {kind for kind, *_ in seen} == {"window", "pair"}
-    assert max(seen.values()) == 1, [key[::2] for key, m in seen.items() if m > 1]
+    pieces = {id(C): key for key, C in X._chain.items()}
+    seen = Counter((pieces[id(C)], k) for C, k in reductions)
+    assert {"W", "P"} <= {key[0] for key, _ in seen if key}
+    assert max(seen.values()) == 1, [key for key, m in seen.items() if m > 1]
 
 
 def test_out_of_range_pieces_refused():
@@ -389,8 +383,11 @@ def test_out_of_range_pieces_refused():
     for key in (("V", -1), ("V", 2), ("E", -1), ("E", 1), ("Q", 0), ("V", 0.0), "V"):
         with pytest.raises(ValueError, match="no piece"):
             X.piece(key)
-    with pytest.raises(ValueError, match="no piece"):
-        X.piece_homology(("V", -1), 0)
+    for key in (("V", -1), ("P", -1), ("P", 2), ("W", 0.0, 1)):
+        with pytest.raises(ValueError, match="no piece"):
+            X.piece_homology(key, 0)
+    with pytest.raises(ValueError, match="no window"):
+        X.piece_homology(("W", 0, 2), 0)
     for i in (-1, 1):
         with pytest.raises(ValueError, match="no piece"):
             X.attachment_homology_map(i, "left", 0)
