@@ -13,7 +13,7 @@ import math
 import random
 from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -84,14 +84,11 @@ def _dims(X: ConstructibleRSpace) -> range:
 
 
 def additivity_suite(X: ConstructibleRSpace, rng: random.Random,
-                     samples: int = 20,
-                     profile: Callable[..., dict] | None = None) -> CheckResult:
+                     samples: int = 20) -> CheckResult:
     """mu(R) = mu(R1) + mu(R2) in each type for vertical and horizontal splits.
 
-    `profile(X, k, R)` gives the four measures of R, `measure_profile` by
-    default, looked up at call time; each rectangle is evaluated once.
+    Reads `measure_profile` at call time, and each rectangle once.
     """
-    fn = profile or measure_profile
     checked = 0
     for i in range(samples):
         R = random_rectangle(rng, X.critical_values)
@@ -101,8 +98,8 @@ def additivity_suite(X: ConstructibleRSpace, rng: random.Random,
             splits.append((f"p={x}", (Rectangle(R.a, x, R.c, R.d), Rectangle(x, R.b, R.c, R.d))))
         if (y := _split_point(R.c, R.d)) is not None:
             splits.append((f"q={y}", (Rectangle(R.a, R.b, R.c, y), Rectangle(R.a, R.b, y, R.d))))
-        whole = fn(X, k, R)
-        halves = [(split, [fn(X, k, part) for part in parts]) for split, parts in splits]
+        whole = measure_profile(X, k, R)
+        halves = [(split, [measure_profile(X, k, part) for part in parts]) for split, parts in splits]
         for t in BehaviorType:
             for split, profiles in halves:
                 total = sum(p[t] for p in profiles)

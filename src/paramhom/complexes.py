@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import itertools
 from bisect import bisect_left
+from types import MappingProxyType
 from typing import Hashable, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -45,8 +46,8 @@ class SimplicialComplex:
 
     The constructor accepts any iterable of simplices (sequences of distinct,
     mutually comparable vertex ids) and closes them under faces, so callers
-    may list only maximal simplices.  Simplices are stored sorted, and listed
-    in lexicographic order within each dimension.
+    may list only maximal simplices.  Simplices are stored sorted, in
+    read-only rows listed in lexicographic order within each dimension.
     """
 
     def __init__(self, simplices: Iterable[Sequence[Hashable]] = ()):
@@ -59,9 +60,9 @@ class SimplicialComplex:
             for k in range(1, len(verts) + 1):
                 for face in itertools.combinations(verts, k):
                     by_dim.setdefault(k - 1, set()).add(face)
-        self.simplices: dict[int, list[tuple]] = {
-            k: sorted(by_dim[k]) for k in sorted(by_dim)
-        }
+        self.simplices: Mapping[int, tuple[tuple, ...]] = MappingProxyType({
+            k: tuple(sorted(by_dim[k])) for k in sorted(by_dim)
+        })
 
     @property
     def dimension(self) -> int:
@@ -77,7 +78,7 @@ class SimplicialComplex:
 
     def has_simplex(self, s: Sequence[Hashable]) -> bool:
         t = tuple(sorted(s))
-        row = self.simplices.get(len(t) - 1, [])
+        row = self.simplices.get(len(t) - 1, ())
         try:
             i = bisect_left(row, t)
         except TypeError:  # ids not comparable with this complex's: no match

@@ -121,8 +121,10 @@ def _parse_vertex_table(obj, where: str) -> dict[int, int]:
 
 
 def parse_space(doc: Any) -> tuple[ConstructibleRSpace, int]:
-    """Build a validated space from a decoded input document.
+    """Build a space from a decoded input document.
 
+    This module checks the JSON encoding; the space's constructor checks
+    shapes and attaching maps, and its ValueError becomes an InputError.
     Returns the space and the maximum homology dimension to report
     (defaulting to the top dimension of any piece).
     """
@@ -161,9 +163,6 @@ def parse_space(doc: Any) -> tuple[ConstructibleRSpace, int]:
         X = ConstructibleRSpace(values, verts, edges, lmaps, rmaps, field)
     except ValueError as e:
         raise InputError(str(e)) from e
-    problems = X.validate()
-    if problems:
-        raise InputError("; ".join(problems))
 
     max_dim = doc.get("max_dim", max(X.max_piece_dimension(), 0))
     if isinstance(max_dim, bool) or not isinstance(max_dim, int) or max_dim < 0:

@@ -21,14 +21,15 @@ its window: an end p in the gap below a_lo snaps to a_lo through the
 cylinder of r_{lo-1}, and an end q above a_hi to a_hi through that of l_hi,
 then includes by label.  So X^t is the slice (-inf, t].  Slices with the
 same lo, hi and end fibers are the same, so their end maps are cached per
-such plan, not per numeric rectangle.  Instances are treated as immutable
-after construction.
+such plan, not per numeric rectangle.  Instances are immutable after
+construction.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
+from types import MappingProxyType
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -59,10 +60,10 @@ class ConstructibleRSpace:
                  right_maps: Sequence[Mapping],
                  field: PrimeField):
         self.critical_values = tuple(float(v) for v in critical_values)
-        self.vertex_complexes = list(vertex_complexes)
-        self.edge_complexes = list(edge_complexes)
-        self.left_maps = [dict(m) for m in left_maps]
-        self.right_maps = [dict(m) for m in right_maps]
+        self.vertex_complexes = tuple(vertex_complexes)
+        self.edge_complexes = tuple(edge_complexes)
+        self.left_maps = tuple(MappingProxyType(dict(m)) for m in left_maps)
+        self.right_maps = tuple(MappingProxyType(dict(m)) for m in right_maps)
         self.field = field
         n = len(self.critical_values)
         if n == 0:
@@ -77,6 +78,8 @@ class ConstructibleRSpace:
             raise ValueError("need one edge complex per gap")
         if len(self.left_maps) != n - 1 or len(self.right_maps) != n - 1:
             raise ValueError("need one left and one right map per gap")
+        if problems := self.validate():
+            raise ValueError("; ".join(problems))
         self._chain: dict = {}
         self._edge_maps: dict = {}
         self._homology: dict = {}
@@ -84,29 +87,22 @@ class ConstructibleRSpace:
     # -- structural validation ----------------------------------------------
 
     def validate(self) -> list[str]:
-        """Check the attaching maps; returns [] when the model is sound."""
+        """Problems with the attaching maps, [] when the model is sound.  The
+        constructor checks shapes, then raises these joined by "; "."""
         problems = []
         for i, E in enumerate(self.edge_complexes):
             in_fiber = set(E.vertices)
             for side, vmap, V in (("left", self.left_maps[i], self.vertex_complexes[i]),
                                   ("right", self.right_maps[i], self.vertex_complexes[i + 1])):
-                for v in E.vertices:
-                    if v not in vmap:
-                        problems.append(f"gap {i}: {side} map undefined on vertex {v!r}")
-                for v in vmap:
-                    if v not in in_fiber:
-                        problems.append(f"gap {i}: {side} map names vertex {v!r}, "
-                                        "which is not in the gap fiber")
-                for k, simps in E.simplices.items():
-                    for s in simps:
-                        try:
-                            img = tuple(vmap[v] for v in s)
-                        except KeyError:
-                            continue  # reported above
-                        img = tuple(sorted(set(img)))
-                        if not V.has_simplex(img):
-                            problems.append(
-                                f"gap {i}: {side} image {img!r} of {s!r} is not a simplex")
+                problems += [f"gap {i}: {side} map undefined on vertex {v!r}"
+                             for v in E.vertices if v not in vmap]
+                problems += [f"gap {i}: {side} map names vertex {v!r}, which is not in the gap fiber"
+                             for v in vmap if v not in in_fiber]
+                for s in (s for row in E.simplices.values() for s in row
+                          if all(v in vmap for v in s)):  # an unmapped vertex is reported above
+                    img = tuple(sorted({vmap[v] for v in s}))
+                    if not V.has_simplex(img):
+                        problems.append(f"gap {i}: {side} image {img!r} of {s!r} is not a simplex")
         return problems
 
     # -- pieces --------------------------------------------------------------
@@ -129,16 +125,28 @@ class ConstructibleRSpace:
             return ("V", i)
         return ("E", i - 1)
 
-    def piece(self, key: tuple[str, int] | None) -> SimplicialComplex:
-        """The fiber None (empty), ("V", i) for i < n or ("E", i) for i < n - 1."""
+    def _check(self, key: tuple | None, tags: tuple[str, ...] = ("V", "E", "W", "P")) -> None:
+        """Refuse a key naming no piece before any cache lookup: an index is
+        an int, as ("V", 0.0) and ("V", False) equal a cached ("V", 0)."""
+        n = self.n_critical
         match key:
             case None:
-                return SimplicialComplex()
-            case ("V", int(i)) if 0 <= i < self.n_critical:
-                return self.vertex_complexes[i]
-            case ("E", int(i)) if 0 <= i < self.n_critical - 1:
-                return self.edge_complexes[i]
-        raise ValueError(f"no piece {key!r} in a space with {self.n_critical} critical values")
+                return
+            case ("W", lo, hi) if "W" in tags and type(lo) is int and type(hi) is int:
+                if 0 <= lo <= hi < n:
+                    return
+                raise ValueError(f"no window ({lo}, {hi}) of critical values 0..{n - 1}")
+            case (tag, i) if tag in tags and type(i) is int and 0 <= i < n - (tag == "E"):
+                return
+        raise ValueError(f"no piece {key!r} in a space with {n} critical values")
+
+    def piece(self, key: tuple[str, int] | None) -> SimplicialComplex:
+        """The fiber None (empty), ("V", i) for i < n or ("E", i) for i < n - 1."""
+        self._check(key, ("V", "E"))
+        if key is None:
+            return SimplicialComplex()
+        tag, i = key
+        return self.vertex_complexes[i] if tag == "V" else self.edge_complexes[i]
 
     def piece_chain(self, key: tuple | None) -> ChainComplex:
         """Chain model of a fiber (see `piece`), a window ("W", lo, hi) or a
@@ -151,17 +159,15 @@ class ConstructibleRSpace:
         (-inf, a_j] or over [a_j, inf), and the two meet in V_j.  Its cells
         keep the window's labels and column order.
         """
+        self._check(key)
         if key not in self._chain:
             match key:
-                case ("W", int(lo), int(hi)):
-                    if not 0 <= lo <= hi < self.n_critical:
-                        raise ValueError(f"no window ({lo}, {hi}) of critical values "
-                                         f"0..{self.n_critical - 1}")
+                case ("W", lo, hi):
                     C = telescope(
                         [self.piece_chain(("V", i)) for i in range(lo, hi + 1)],
                         [(self.piece_chain(("E", i)), *self.edge_chain_maps(i))
                          for i in range(lo, hi)])
-                case ("P", int(j)) if 0 <= j < self.n_critical:
+                case ("P", j):
                     W = self.piece_chain(("W", 0, j))
                     C, _ = quotient_complex(
                         W, {d: [c for c, (tag, i, _) in enumerate(labels) if tag == "v" and i == j]
@@ -176,6 +182,7 @@ class ConstructibleRSpace:
 
     def edge_chain_maps(self, i: int) -> tuple[ColumnMap, ColumnMap]:
         """Column maps of the induced l_i: E_i -> V_i and r_i: E_i -> V_{i+1}."""
+        self._check(("E", i))
         if i not in self._edge_maps:
             CE = self.piece_chain(("E", i))
             E = self.edge_complexes[i]
@@ -208,6 +215,7 @@ class ConstructibleRSpace:
 
     def piece_homology(self, piece_key: tuple | None, k: int) -> HomologyBasis:
         """H_k of the piece `piece_chain(piece_key)`, reduced once."""
+        self._check(piece_key)
         key = ("fiber", piece_key, k)
         if key not in self._homology:
             self._homology[key] = homology(self.piece_chain(piece_key), k)
@@ -215,6 +223,7 @@ class ConstructibleRSpace:
 
     def attachment_homology_map(self, i: int, side: str, k: int) -> np.ndarray:
         """Matrix of H_k(E_i) -> H_k(V_i) ("left") or H_k(V_{i+1}) ("right")."""
+        self._check(("E", i))
         key = ("attach", i, side, k)
         if key not in self._homology:
             lm, rm = self.edge_chain_maps(i)

@@ -37,7 +37,7 @@ class TestSuitesPass:
 
 
 class TestNegativeControl:
-    def test_corrupted_measure_is_caught(self):
+    def test_corrupted_measure_is_caught(self, monkeypatch):
         X = corpus.circle()
         calls = {"n": 0}
 
@@ -49,7 +49,8 @@ class TestNegativeControl:
                 profile[BehaviorType.OPEN_CLOSED] += 1
             return profile
 
-        r = additivity_suite(X, random.Random(0), samples=12, profile=lying)
+        monkeypatch.setattr(checks, "measure_profile", lying)
+        r = additivity_suite(X, random.Random(0), samples=12)
         assert not r.passed
         assert "split" in r.detail and "Rectangle" in r.detail
         assert "type=oc" in r.detail

@@ -41,9 +41,9 @@ def ranks(S, field, top=3):
 
 def test_simplicial_complex_face_closure_and_order():
     S = SimplicialComplex([(2, 0, 1)])
-    assert S.simplices[0] == [(0,), (1,), (2,)]
-    assert S.simplices[1] == [(0, 1), (0, 2), (1, 2)]
-    assert S.simplices[2] == [(0, 1, 2)]
+    assert S.simplices[0] == ((0,), (1,), (2,))
+    assert S.simplices[1] == ((0, 1), (0, 2), (1, 2))
+    assert S.simplices[2] == ((0, 1, 2),)
     assert S.dimension == 2
     assert S.has_simplex((2, 0)) and not S.has_simplex(("x",))
     assert SimplicialComplex().dimension == -1
@@ -273,6 +273,16 @@ def test_checks_survive_optimized_mode():
          "S = SimplicialComplex([(0, 1)]); C = chain_complex(S, PrimeField(3)); "
          "c.induced_chain_map({0: 1, 1: 0}, S, S, C, C)",
          "ValueError: chain map fails to commute"),
+        # the README circle with a stray vertex in its left map
+        ("from paramhom.rspace import ConstructibleRSpace; "
+         "ConstructibleRSpace([0.0, 1.0], [SimplicialComplex([(0,)])] * 2, "
+         "[SimplicialComplex([(0,), (1,)])], [{0: 0, 1: 0, 7: 0}], [{0: 0, 1: 0}], "
+         "PrimeField(2))", "ValueError: gap 0: left map names vertex 7"),
+        ("from paramhom.rspace import ConstructibleRSpace; "
+         "X = ConstructibleRSpace([0.0, 1.0], [SimplicialComplex([(0,)])] * 2, "
+         "[SimplicialComplex([(0,), (1,)])], [{0: 0, 1: 0}], [{0: 0, 1: 0}], "
+         "PrimeField(2)); X.piece_chain(('V', 1)); X.piece_chain(('V', True))",
+         "ValueError: no piece ('V', True)"),
     ]
     src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
     for code, message in cases:

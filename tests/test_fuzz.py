@@ -16,8 +16,11 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from paramhom.cli import main
+from paramhom.complexes import SimplicialComplex
+from paramhom.fieldlin import PrimeField
 from paramhom.io import InputError, parse_diagram, parse_space
 from paramhom.plot import render_svg
+from paramhom.rspace import ConstructibleRSpace
 
 from corpus import OVERFLOW_VALUES, RP2, constant_doc, point_doc
 
@@ -149,6 +152,31 @@ def test_cli_subcommand_exit_codes(space, other, rect, tolerance, samples):
     assert _exit_code("stability", [space, space],
                       [f"--tolerance={tolerance}"]) in (0, 2)
     assert _exit_code("validate", [space], [f"--samples={samples}"]) in (0, 1, 2)
+
+
+# the circle's vertex tables {0: 0, 1: 0}, mutated: 0 or 1 dropped, the
+# stray 2 or 3 added, or a vertex sent to the missing target 1 or 2
+vertex_tables = st.dictionaries(st.integers(0, 3), st.integers(0, 2), max_size=4)
+
+
+def _refusal(build, error: type[Exception]) -> str | None:
+    try:
+        build()
+    except error as e:
+        return str(e)
+    return None
+
+
+@settings(max_examples=200, deadline=None)
+@given(vertex_tables, vertex_tables)
+@example({0: 0, 1: 0}, {0: 0, 1: 0})
+def test_io_refuses_vertex_tables_as_the_constructor_does(left, right):
+    doc = dict(CIRCLE, left_maps=[{str(v): w for v, w in left.items()}],
+               right_maps=[{str(v): w for v, w in right.items()}])
+    parts = ((0.0, 1.0), [SimplicialComplex([(0,)])] * 2, [SimplicialComplex([(0,), (1,)])],
+             [left], [right], PrimeField(2))
+    assert (_refusal(lambda: parse_space(doc), InputError)
+            == _refusal(lambda: ConstructibleRSpace(*parts), ValueError))
 
 
 huge = (st.sampled_from([-1.7e308, -1e308, 0.0, 1e308, 1.7e308])

@@ -56,14 +56,55 @@ def test_full_slice_recovers_global_homology(name):
 def test_validate_accepts_corpus_and_flags_breakage():
     for name, X in corpus.corpus().items():
         assert X.validate() == [], name
-    bad = ConstructibleRSpace(
-        (0.0, 1.0),
-        [SimplicialComplex([("a",)]), SimplicialComplex([("b",)])],
-        [SimplicialComplex([("x",), ("y",)])],
-        [{"x": "a"}],  # y unmapped
-        [{"x": "b", "y": "nope"}],  # image vertex missing
-        F2)
-    assert len(bad.validate()) >= 2
+    with pytest.raises(ValueError, match=r"left map undefined on vertex 'y'; "
+                                         r"gap 0: right image \('nope',\) of \('y',\)"):
+        ConstructibleRSpace(
+            (0.0, 1.0),
+            [SimplicialComplex([("a",)]), SimplicialComplex([("b",)])],
+            [SimplicialComplex([("x",), ("y",)])],
+            [{"x": "a"}],  # y unmapped
+            [{"x": "b", "y": "nope"}],  # image vertex missing
+            F2)
+
+
+def test_stray_map_key_refused_at_construction():
+    # a space built in Python is refused with the message the CLI prints
+    pt, two = SimplicialComplex([(0,)]), SimplicialComplex([(0,), (1,)])
+    with pytest.raises(ValueError, match="^gap 0: left map names vertex 7, "
+                                         "which is not in the gap fiber$"):
+        ConstructibleRSpace((0.0, 1.0), [pt, pt], [two], [{0: 0, 1: 0, 7: 0}],
+                            [{0: 0, 1: 0}], F2)
+
+
+def test_fields_are_read_only():
+    # an edit would leave the cached chains, maps and homology stale
+    X = corpus.circle()
+    X.slice_homology(-INF, INF, 0)
+    with pytest.raises(TypeError):
+        X.left_maps[0][0] = 1
+    with pytest.raises(TypeError):
+        X.vertex_complexes[0].simplices[0][0] = ("z",)
+    with pytest.raises(TypeError):
+        X.vertex_complexes[0].simplices[0] = ()
+    with pytest.raises(TypeError):
+        X.edge_complexes[0] = X.vertex_complexes[0]
+
+
+def test_ill_typed_keys_refused_after_int_key_cached():
+    # ("V", 0.0) == ("V", False) == ("V", 0), so the check precedes each lookup
+    X = corpus.circle()
+    X.slice_homology(-INF, INF, 0)
+    X.slice_homology(0.2, 0.8, 0)
+    for key in (("V", 0.0), ("V", False), ("E", 0.0), ("W", 0, True), ("P", 1.0)):
+        with pytest.raises(ValueError, match="no piece"):
+            X.piece_chain(key)
+        with pytest.raises(ValueError, match="no piece"):
+            X.piece_homology(key, 0)
+    for i in (0.0, False):
+        with pytest.raises(ValueError, match="no piece"):
+            X.attachment_homology_map(i, "left", 0)
+        with pytest.raises(ValueError, match="no piece"):
+            X.edge_chain_maps(i)
 
 
 def test_constructor_faults():
