@@ -96,22 +96,28 @@ class ChainComplex:
     """Based chain complex: ordered basis labels and boundary matrices.
 
     boundaries[k] maps degree k to degree k-1 and has shape
-    (dim(k-1), dim(k)).  The constructor checks d @ d = 0 in every degree.
+    (dim(k-1), dim(k)).  The constructor checks d o d = 0 in every degree.
+    Labels are stored as tuples and boundaries as read-only arrays, so a
+    complex held in a cache cannot be edited through what it hands out.
     """
 
     def __init__(self, field: PrimeField, labels: dict[int, list],
                  boundaries: dict[int, np.ndarray]):
         self.field = field
-        self.labels = {k: list(v) for k, v in labels.items() if v}
-        self.boundaries = {}
+        self.labels = MappingProxyType({k: tuple(v) for k, v in labels.items() if v})
+        stored = {}
         for k, M in boundaries.items():
             M = field.normalize(M)
             if M.shape != (self.dim(k - 1), self.dim(k)):
                 raise ValueError(f"boundary {k} has shape {M.shape}")
             if M.size:
-                self.boundaries[k] = M
-        for k in self.degrees():
-            if field.matmul(self.boundary(k), self.boundary(k + 1)).any():
+                M.flags.writeable = False
+                stored[k] = M
+        self.boundaries = MappingProxyType(stored)
+        columns = {k: _sparse_columns(M) for k, M in stored.items()
+                   if k - 1 in stored or k + 1 in stored}
+        for k in sorted(columns):
+            if k + 1 in columns and not _composes_to_zero(columns[k], columns[k + 1], field.p):
                 raise ValueError(f"d o d != 0 at degree {k + 1}")
 
     def degrees(self) -> list[int]:
@@ -133,6 +139,28 @@ class ChainComplex:
     def __repr__(self) -> str:
         dims = {k: self.dim(k) for k in self.degrees()}
         return f"ChainComplex(F{self.field.p}, dims={dims})"
+
+
+def _sparse_columns(M: np.ndarray) -> list[list[tuple[int, int]]]:
+    """The nonzeros (row, entry) of each column of M, as Python ints."""
+    cols: list[list[tuple[int, int]]] = [[] for _ in range(M.shape[1])]
+    rs, cs = M.nonzero()
+    for i, j, v in zip(rs.tolist(), cs.tolist(), M[rs, cs].tolist()):
+        cols[j].append((i, v))
+    return cols
+
+
+def _composes_to_zero(lower: list, upper: list, p: int) -> bool:
+    """Whether d_k d_{k+1} = 0 mod p, from the sparse columns of each: each
+    column of d_{k+1} combines the columns of d_k that it names."""
+    for col in upper:
+        acc: dict[int, int] = {}
+        for i, a in col:
+            for r, b in lower[i]:
+                acc[r] = acc.get(r, 0) + a * b
+        if any(x % p for x in acc.values()):
+            return False
+    return True
 
 
 def chain_complex(S: SimplicialComplex, field: PrimeField) -> ChainComplex:
@@ -224,6 +252,7 @@ class HomologyBasis:
     projection: rank x (dim C_k); sends a cycle to its class coordinates and
     boundaries to 0.  It reads a cycle only at the free coordinates of that
     kernel basis, so it is meaningful on cycles alone.
+    Both arrays are made read-only, as cached bases are shared.
     """
 
     def __init__(self, complex: ChainComplex, k: int, representatives: np.ndarray,
@@ -232,6 +261,8 @@ class HomologyBasis:
         self.k = k
         self.representatives = representatives
         self.projection = projection
+        representatives.flags.writeable = False
+        projection.flags.writeable = False
 
     @property
     def rank(self) -> int:

@@ -1,8 +1,12 @@
-"""Exact dense linear algebra over a prime field F_p.
+"""Exact linear algebra over a prime field F_p.
 
-Matrices are numpy int64 arrays with entries reduced into [0, p).  All
-routines are deterministic: row/column scans go in index order, so pivot
-choices depend only on the input matrix, never on hashing or timing.
+Matrices are numpy int64 arrays with entries reduced into [0, p), on the
+way in and on the way out.  Elimination runs on sparse rows: `rref` reads
+the nonzeros of its input into rows of Python ints, reduces those, and
+writes the reduced form back as an int64 array, so its elimination work
+follows the nonzeros, not the shape.  All routines are deterministic:
+rows and columns are scanned in index order, so pivot choices depend only
+on the input matrix, never on hashing or timing.
 
 numpy is used purely as an exact integer container with vectorized
 arithmetic; there is no floating point anywhere in this module.
@@ -37,7 +41,7 @@ class PrimeField:
 
     def __init__(self, p: int):
         if p >= 1 << 25:
-            # keeps (p-1)^2 and every rref update far below int64 overflow;
+            # keeps every product (p-1)^2 of int64 entries far below overflow;
             # checked first, as trial division of a huge p would not finish
             raise ValueError(f"characteristic {p} too large for exact int64 arithmetic")
         if not _is_prime(p):
@@ -90,33 +94,57 @@ class PrimeField:
     # -- elimination -------------------------------------------------------
 
     def rref(self, M) -> tuple[np.ndarray, list[int]]:
-        """Reduced row echelon form.
+        """Reduced row echelon form, by Gauss-Jordan on sparse rows.
+
+        Each row of M is read once into a dict {column: entry} of Python
+        ints and reduced by the pivot row at its leading column until that
+        column holds no pivot; it then becomes the pivot row there, scaled
+        to 1.  Back-substitution clears the later pivot columns of each
+        pivot row, from the last pivot back.  Only nonzeros are touched, and
+        the reduced form is unique, so R does not depend on this order.
 
         Returns:
             (R, pivots) where R is the fully reduced form of M and pivots
             lists the pivot column indices in increasing order.
         """
-        A = self.normalize(M).copy()
-        rows, cols = A.shape
-        pivots: list[int] = []
-        r = 0
-        for c in range(cols):
-            if r == rows:
-                break
-            nz = np.nonzero(A[r:, c])[0]
-            if nz.size == 0:
-                continue
-            i = r + int(nz[0])
-            if i != r:
-                A[[r, i]] = A[[i, r]]
-            A[r] = A[r] * self.inv_scalar(int(A[r, c])) % self.p
-            col = A[:, c].copy()
-            col[r] = 0
-            # vectorized elimination of every other row at once
-            A = (A - np.outer(col, A[r])) % self.p
-            pivots.append(c)
-            r += 1
-        return A, pivots
+        A = self.normalize(M)
+        p, cols = self.p, A.shape[1]
+        flat = A.ravel().nonzero()[0]
+        rows: list[dict[int, int]] = [{} for _ in range(A.shape[0])]
+        for at, v in zip(flat.tolist(), A.take(flat).tolist()):
+            r, c = divmod(at, cols)
+            rows[r][c] = v
+        lead: dict[int, dict[int, int]] = {}  # pivot column -> its row
+        for row in rows:
+            while row:
+                c = min(row)
+                pivot_row = lead.get(c)
+                if pivot_row is None:
+                    inv = self.inv_scalar(row[c])
+                    lead[c] = {j: v * inv % p for j, v in row.items()}
+                    break
+                f = row[c]  # subtracting f * pivot_row clears column c
+                for j, v in pivot_row.items():
+                    if x := (row.get(j, 0) - f * v) % p:
+                        row[j] = x
+                    else:
+                        del row[j]
+        pivots = sorted(lead)
+        for c in reversed(pivots):
+            row = lead[c]
+            # each later pivot row is reduced already: 1 at its own pivot and
+            # 0 at every other, so subtracting it refills no pivot column
+            for j in [j for j in row if j != c and j in lead]:
+                f = row[j]
+                for jj, v in lead[j].items():
+                    if x := (row.get(jj, 0) - f * v) % p:
+                        row[jj] = x
+                    else:
+                        del row[jj]
+        R = self.zeros(*A.shape)
+        R.put([i * cols + j for i, c in enumerate(pivots) for j in lead[c]],
+              [v for c in pivots for v in lead[c].values()])
+        return R, pivots
 
     def rank(self, M) -> int:
         return len(self.rref(M)[1])

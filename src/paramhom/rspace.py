@@ -53,6 +53,11 @@ __all__ = ["ConstructibleRSpace"]
 
 
 class ConstructibleRSpace:
+    # set once in __init__: rebinding one would leave the caches answering
+    # for the old value and skip validate()
+    _FIELDS = frozenset(("critical_values", "vertex_complexes", "edge_complexes",
+                         "left_maps", "right_maps", "field"))
+
     def __init__(self, critical_values: Sequence[float],
                  vertex_complexes: Sequence[SimplicialComplex],
                  edge_complexes: Sequence[SimplicialComplex],
@@ -83,6 +88,16 @@ class ConstructibleRSpace:
         self._chain: dict = {}
         self._edge_maps: dict = {}
         self._homology: dict = {}
+
+    def __setattr__(self, name: str, value) -> None:
+        if name in self._FIELDS and name in self.__dict__:
+            raise AttributeError(f"{name} cannot be rebound after construction")
+        super().__setattr__(name, value)
+
+    def __delattr__(self, name: str) -> None:
+        if name in self._FIELDS:
+            raise AttributeError(f"{name} cannot be deleted")
+        super().__delattr__(name)
 
     # -- structural validation ----------------------------------------------
 
@@ -139,6 +154,13 @@ class ConstructibleRSpace:
             case (tag, i) if tag in tags and type(i) is int and 0 <= i < n - (tag == "E"):
                 return
         raise ValueError(f"no piece {key!r} in a space with {n} critical values")
+
+    @staticmethod
+    def _check_degree(k) -> None:
+        """Refuse a degree that is not an int before any cache lookup, as
+        0.0 and False equal a cached 0."""
+        if type(k) is not int:
+            raise ValueError(f"homology degree must be an int, got {k!r}")
 
     def piece(self, key: tuple[str, int] | None) -> SimplicialComplex:
         """The fiber None (empty), ("V", i) for i < n or ("E", i) for i < n - 1."""
@@ -216,6 +238,7 @@ class ConstructibleRSpace:
     def piece_homology(self, piece_key: tuple | None, k: int) -> HomologyBasis:
         """H_k of the piece `piece_chain(piece_key)`, reduced once."""
         self._check(piece_key)
+        self._check_degree(k)
         key = ("fiber", piece_key, k)
         if key not in self._homology:
             self._homology[key] = homology(self.piece_chain(piece_key), k)
@@ -224,6 +247,7 @@ class ConstructibleRSpace:
     def attachment_homology_map(self, i: int, side: str, k: int) -> np.ndarray:
         """Matrix of H_k(E_i) -> H_k(V_i) ("left") or H_k(V_{i+1}) ("right")."""
         self._check(("E", i))
+        self._check_degree(k)
         key = ("attach", i, side, k)
         if key not in self._homology:
             lm, rm = self.edge_chain_maps(i)
@@ -234,7 +258,9 @@ class ConstructibleRSpace:
                 tgt, f = self.piece_homology(("V", i + 1), k), rm
             else:
                 raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-            self._homology[key] = induced_homology_map(src, tgt, *f.get(k, ((), ())))
+            M = induced_homology_map(src, tgt, *f.get(k, ((), ())))
+            M.flags.writeable = False
+            self._homology[key] = M
         return self._homology[key]
 
     def slice_homology(self, p: float, q: float, k: int
@@ -248,6 +274,7 @@ class ConstructibleRSpace:
         gap first attaches to the V block it abuts, by r_{lo-1} below the
         window or l_hi above it, and an empty one maps by zeros.
         """
+        self._check_degree(k)
         plan = self.slice_plan(p, q)
         key = ("slice", plan, k)
         if key not in self._homology:
@@ -259,6 +286,7 @@ class ConstructibleRSpace:
                 h = self.piece_homology(("W", lo, hi), k)
                 mp = self._end_map(h, lo, lo, fp, "right", k)
                 mq = self._end_map(h, lo, hi, fq, "left", k)
+            mp.flags.writeable = mq.flags.writeable = False
             self._homology[key] = (h, mp, mq)
         return self._homology[key]
 

@@ -21,6 +21,8 @@ the two multiplied out.
 five_rule_valid and edge_rule_contains state point validity and rectangle
 membership rule by rule, one branch per infinity, diagonal and edge case,
 for the tests that hold the decorated order of paramhom.diagrams to them.
+dense_rref is Gauss-Jordan elimination on the whole dense matrix, one
+outer-product update per pivot: the reference for the sparse-row rref.
 """
 
 from __future__ import annotations
@@ -40,6 +42,30 @@ from paramhom.diagrams import (BehaviorType, DecoratedDiagram, DecoratedPoint, D
                                Rectangle)
 from paramhom.fieldlin import PrimeField
 from paramhom.zigzag import FORWARD, DecompositionError, ZigzagModule
+
+
+def dense_rref(field: PrimeField, M) -> tuple[np.ndarray, list[int]]:
+    """Reduced row echelon form, every row updated at every pivot."""
+    A = field.normalize(M).copy()
+    rows, cols = A.shape
+    pivots: list[int] = []
+    r = 0
+    for c in range(cols):
+        if r == rows:
+            break
+        nz = np.nonzero(A[r:, c])[0]
+        if nz.size == 0:
+            continue
+        i = r + int(nz[0])
+        if i != r:
+            A[[r, i]] = A[[i, r]]
+        A[r] = A[r] * field.inv_scalar(int(A[r, c])) % field.p
+        col = A[:, c].copy()
+        col[r] = 0
+        A = (A - np.outer(col, A[r])) % field.p
+        pivots.append(c)
+        r += 1
+    return A, pivots
 
 
 def invert(field: PrimeField, A: np.ndarray) -> np.ndarray:

@@ -177,7 +177,7 @@ def test_telescope_builds_a_circle(field):
     everything = {k: range(tel.dim(k)) for k in tel.degrees()}
     for t in (0, 1):
         dense_coordinate_map(tel, pt, {0: [t]}, tel, everything)
-    assert tel.labels[0][:2] == [("v", 0, ("l",)), ("v", 1, ("r",))]
+    assert tel.labels[0][:2] == (("v", 0, ("l",)), ("v", 1, ("r",)))
 
 
 @pytest.mark.parametrize("field", [F2, F3, F5])
@@ -246,6 +246,43 @@ def test_chain_complex_rejects_broken_boundary():
                      {1: [[1]], 2: [[1]]})
 
 
+@pytest.mark.parametrize("field", [F2, F3])
+def test_every_perturbed_boundary_entry_breaks_d_o_d(field):
+    # in the solid tetrahedron every cell has a face or a coface, so one
+    # entry of d_k moved by 1 breaks the first composite d_{m-1} d_m holding
+    # it, m = max(k, 2)
+    C = chain_complex(SimplicialComplex([(0, 1, 2, 3)]), field)
+    for k in (1, 2, 3):
+        for i, j in itertools.product(range(C.dim(k - 1)), range(C.dim(k))):
+            d = {m: np.array(C.boundary(m)) for m in (1, 2, 3)}
+            d[k][i, j] += 1
+            with pytest.raises(ValueError, match=f"d o d != 0 at degree {max(k, 2)}"):
+                ChainComplex(field, dict(C.labels), d)
+    ChainComplex(field, dict(C.labels), dict(C.boundaries))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([2, 3, 33554393]), st.integers(0, 4), st.integers(0, 4),
+       st.integers(0, 4), st.data())
+def test_d_o_d_check_matches_dense_product(p, n0, n1, n2, data):
+    field = PrimeField(p)
+
+    def matrix(rows, cols):
+        # mostly zeros, entries written as any representative
+        entries = st.sampled_from([0, 0, 0, 1, -1, p - 1, p + 1, 2 * p])
+        return np.array(data.draw(st.lists(entries, min_size=rows * cols,
+                                           max_size=rows * cols)),
+                        dtype=np.int64).reshape(rows, cols)
+
+    d1, d2 = matrix(n0, n1), matrix(n1, n2)
+    labels = {0: list(range(n0)), 1: list(range(n1)), 2: list(range(n2))}
+    if field.matmul(d1 % p, d2 % p).any():
+        with pytest.raises(ValueError, match="d o d != 0 at degree 2"):
+            ChainComplex(field, labels, {1: d1, 2: d2})
+    else:
+        ChainComplex(field, labels, {1: d1, 2: d2})
+
+
 def test_chain_map_rejects_non_commuting_matrices(monkeypatch):
     seg = SimplicialComplex([(0, 1)])
     C = chain_complex(seg, F3)
@@ -290,6 +327,24 @@ def test_checks_survive_optimized_mode():
                               capture_output=True, text=True,
                               env=dict(os.environ, PYTHONPATH=src), timeout=60)
         assert message in proc.stderr, proc.stderr
+
+
+def test_chain_complex_is_read_only():
+    C = chain_complex(SimplicialComplex(SOLID_TRIANGLE), F3)
+    with pytest.raises(AttributeError):
+        C.labels[0].append((7,))
+    with pytest.raises(TypeError):
+        C.labels[0] = []
+    with pytest.raises(ValueError, match="read-only"):
+        C.boundary(1)[0, 0] = 2
+    with pytest.raises(TypeError):
+        C.boundaries[1] = C.boundary(2)
+    h = homology(C, 0)
+    with pytest.raises(ValueError, match="read-only"):
+        h.representatives[0, 0] = 2
+    with pytest.raises(ValueError, match="read-only"):
+        h.projection[0, 0] = 2
+    assert C.labels[0] == ((0,), (1,), (2,)) and not homology(C, 1).rank
 
 
 def test_homology_maps_reject_mismatched_inputs():

@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 
 from paramhom.fieldlin import PrimeField
 
+from oracles import dense_rref
+
 PRIMES = [2, 3, 5, 7]
 
 
@@ -33,6 +35,42 @@ def loop_kernel_basis(field: PrimeField, M) -> np.ndarray:
         for i, pc in enumerate(pivots):
             K[pc, j] = (-R[i, fc]) % field.p
     return K
+
+
+def _sparse_case(rng, field, rows, cols, density):
+    """A rows x cols matrix with about `density` of its entries nonzero mod p,
+    written with representatives that are negative or >= p as often as not."""
+    p = field.p
+    M = rng.integers(1, p, size=(rows, cols)) + p * rng.integers(-2, 3, size=(rows, cols))
+    return np.where(rng.random((rows, cols)) < density, M, p * rng.integers(-2, 3, size=(rows, cols)))
+
+
+@pytest.mark.parametrize("p", [2, 3, 33554393])
+def test_rref_equals_dense_rref(p):
+    field = PrimeField(p)
+    rng = np.random.default_rng(p)
+    shapes = [(0, 5), (5, 0), (0, 0), (1, 1), (40, 6), (6, 40), (25, 25), (60, 90)]
+    for rows, cols in shapes:
+        for density in (0, 0.01, 0.05, 0.3, 1):
+            for _ in range(3):
+                M = _sparse_case(rng, field, rows, cols, density)
+                before = M.copy()
+                for A in (M, M.T):  # M.T is a view that is not C-contiguous
+                    R, pivots = field.rref(A)
+                    want, want_pivots = dense_rref(field, A)
+                    assert pivots == want_pivots, (p, A.shape, density)
+                    assert (R.shape, R.dtype, R.tobytes()) == (
+                        want.shape, want.dtype, want.tobytes())
+                assert np.array_equal(M, before), "rref modified its input"
+
+
+def test_rref_of_dependent_rows():
+    # row 3 is row 1 + row 2 and reduces to zero; the first pivot row is
+    # back-substituted through both later pivots, which clears its column 3
+    F5 = PrimeField(5)
+    R, pivots = F5.rref([[0, 1, 1, 0], [1, 2, 0, 3], [1, 3, 1, 3], [0, 0, 1, 1]])
+    assert pivots == [0, 1, 2]
+    assert R.tolist() == [[1, 0, 0, 0], [0, 1, 0, 4], [0, 0, 1, 1], [0, 0, 0, 0]]
 
 
 def test_characteristic_must_be_prime():

@@ -90,6 +90,51 @@ def test_fields_are_read_only():
         X.edge_complexes[0] = X.vertex_complexes[0]
 
 
+def test_fields_cannot_be_rebound():
+    X = corpus.circle()
+    before = slice_ranks(X, -INF, INF)
+    for name in ("critical_values", "vertex_complexes", "edge_complexes",
+                 "left_maps", "right_maps", "field"):
+        with pytest.raises(AttributeError, match=name):
+            setattr(X, name, getattr(X, name))
+        with pytest.raises(AttributeError, match=name):
+            delattr(X, name)
+    with pytest.raises(AttributeError, match="left_maps"):
+        X.left_maps = ({"x": "t"},)
+    assert slice_ranks(X, -INF, INF) == before
+
+
+def test_cached_chains_and_maps_are_read_only():
+    # an edit through a returned value would change every later answer
+    X = corpus.circle()
+    C = X.piece_chain(("V", 0))
+    with pytest.raises(AttributeError):
+        C.labels[0].append("junk")
+    for M in (X.telescope().boundary(1), X.piece_homology(("E", 0), 0).representatives,
+              X.piece_homology(("E", 0), 0).projection,
+              X.attachment_homology_map(0, "left", 0), *X.slice_homology(0.5, 1.0, 0)[1:],
+              *X.slice_homology(0.2, 0.8, 0)[1:]):
+        with pytest.raises(ValueError, match="read-only"):
+            M[...] = 0
+    assert X.piece_chain(("V", 0)).labels == {0: (("b",),)}
+
+
+@pytest.mark.parametrize("call", [
+    lambda X, k: X.piece_homology(("E", 0), k),
+    lambda X, k: X.piece_homology(("W", 0, 1), k),
+    lambda X, k: X.attachment_homology_map(0, "left", k),
+    lambda X, k: X.slice_homology(-INF, INF, k),
+], ids=["fiber", "window", "attachment", "slice"])
+def test_non_int_degree_refused_after_int_degree_cached(call):
+    # 0.0 == False == 0 would meet a cached degree 0, True a cached 1
+    X = corpus.circle()
+    for k in (0, 1):
+        call(X, k)
+    for k in (0.5, 0.0, True, np.int64(1), "0"):
+        with pytest.raises(ValueError, match="degree"):
+            call(X, k)
+
+
 def test_ill_typed_keys_refused_after_int_key_cached():
     # ("V", 0.0) == ("V", False) == ("V", 0), so the check precedes each lookup
     X = corpus.circle()
@@ -309,7 +354,7 @@ def test_window_is_columns_of_whole_telescope():
                 S, _ = complexes.subcomplex(full, _blocks(
                     full, lambda tag, i: lo <= i and i + (tag == "e") <= hi))
                 W = X.telescope(lo, hi)
-                assert W.labels == {k: [(tag, i - lo, x) for tag, i, x in labels]
+                assert W.labels == {k: tuple((tag, i - lo, x) for tag, i, x in labels)
                                     for k, labels in S.labels.items()}, (name, lo, hi)
                 for k in S.degrees():
                     assert W.boundary(k).tobytes() == S.boundary(k).tobytes(), (name, lo, hi, k)
