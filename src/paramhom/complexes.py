@@ -1,9 +1,9 @@
 """Simplicial and chain complexes over F_p, with telescopes and quotients.
 
 Chain complexes here are finite, based, non-negatively graded: each degree
-has an ordered basis of labels and an integer boundary matrix.  Basis order
-is always the deterministic label order fixed at construction, so induced
-matrices are reproducible across runs.
+has an ordered basis of labels and a boundary kept as sparse columns.  Basis
+order is always the deterministic label order fixed at construction, so
+induced matrices are reproducible across runs.
 
 Every chain map built here sends each basis cell to a multiple of one cell
 or to 0, so it is a column map: per degree, integer arrays (columns,
@@ -23,6 +23,8 @@ import numpy as np
 
 from .fieldlin import PrimeField
 
+# one boundary column: its nonzeros (row, entry)
+Column = tuple[tuple[int, int], ...]
 # degree -> (columns, coefficients), as described above
 ColumnMap = dict[int, tuple[np.ndarray, np.ndarray]]
 
@@ -93,31 +95,44 @@ class SimplicialComplex:
 
 
 class ChainComplex:
-    """Based chain complex: ordered basis labels and boundary matrices.
+    """Based chain complex: ordered basis labels and sparse boundary columns.
 
-    boundaries[k] maps degree k to degree k-1 and has shape
-    (dim(k-1), dim(k)).  The constructor checks d o d = 0 in every degree.
-    Labels are stored as tuples and boundaries as read-only arrays, so a
-    complex held in a cache cannot be edited through what it hands out.
+    columns[k][j] lists the nonzeros (row, entry) of column j of d_k as ints,
+    rows indexing the degree k-1 labels and entries in [1, p); a cell has few
+    faces, so columns are short.  The constructor refuses anything else and
+    checks d o d = 0.  Labels and columns are stored as tuples in read-only
+    mappings, so a complex held in a cache cannot be edited through them.
     """
 
-    def __init__(self, field: PrimeField, labels: dict[int, list],
-                 boundaries: dict[int, np.ndarray]):
+    def __init__(self, field: PrimeField, labels: Mapping[int, Sequence],
+                 columns: Mapping[int, Sequence[Sequence[tuple[int, int]]]]):
         self.field = field
         self.labels = MappingProxyType({k: tuple(v) for k, v in labels.items() if v})
-        stored = {}
-        for k, M in boundaries.items():
-            M = field.normalize(M)
-            if M.shape != (self.dim(k - 1), self.dim(k)):
-                raise ValueError(f"boundary {k} has shape {M.shape}")
-            if M.size:
-                M.flags.writeable = False
-                stored[k] = M
-        self.boundaries = MappingProxyType(stored)
-        columns = {k: _sparse_columns(M) for k, M in stored.items()
-                   if k - 1 in stored or k + 1 in stored}
-        for k in sorted(columns):
-            if k + 1 in columns and not _composes_to_zero(columns[k], columns[k + 1], field.p):
+        stored = {k: ((),) * len(v) for k, v in self.labels.items()}
+        for k, cols in columns.items():
+            n, m = self.dim(k - 1), self.dim(k)
+            try:
+                found = list(map(dict, cols))  # each column as {row: entry}
+            except (TypeError, ValueError):
+                raise ValueError(f"boundary {k} is not columns of (row, entry) pairs") from None
+            if len(found) != m:
+                raise ValueError(f"boundary {k} has {len(found)} columns for {m} cells")
+            if sum(map(len, found)) < sum(map(len, cols)):
+                raise ValueError(f"boundary {k} names a row twice in one column")
+            rows = list(itertools.chain.from_iterable(found))
+            entries = list(itertools.chain.from_iterable(map(dict.values, found)))
+            if set(map(type, rows + entries)) - {int}:
+                bad = next(v for v in rows + entries if type(v) is not int)
+                raise ValueError(f"boundary {k} has an entry {bad!r} that is not an int")
+            if rows and not (0 <= min(rows) <= max(rows) < n
+                             and 0 < min(entries) <= max(entries) < field.p):
+                raise ValueError(f"boundary {k} has a row outside 0..{n - 1} "
+                                 f"or an entry outside 1..{field.p - 1}")
+            if m:
+                stored[k] = tuple(map(tuple, map(dict.items, found)))
+        self.columns: Mapping[int, tuple[Column, ...]] = MappingProxyType(stored)
+        for k, lower in stored.items():
+            if k + 1 in stored and any(_compose(lower, stored[k + 1], field.p)):
                 raise ValueError(f"d o d != 0 at degree {k + 1}")
 
     def degrees(self) -> list[int]:
@@ -128,12 +143,18 @@ class ChainComplex:
         return max(self.labels, default=-1)
 
     def dim(self, k: int) -> int:
-        return len(self.labels.get(k, []))
+        return len(self.labels.get(k, ()))
 
-    def boundary(self, k: int) -> np.ndarray:
-        M = self.boundaries.get(k)
-        if M is None:
-            return self.field.zeros(self.dim(k - 1), self.dim(k))
+    def boundary(self, k: int, rows: Sequence[int] | None = None) -> np.ndarray:
+        """d_k as a read-only dense int64 array, built on each call: all
+        dim(k-1) rows, or only the given distinct rows, in their order."""
+        cols = self.columns.get(k, ())
+        rows = range(self.dim(k - 1)) if rows is None else rows
+        at = {r: i * len(cols) for i, r in enumerate(rows)}  # row -> its offset in M
+        M = self.field.zeros(len(at), len(cols))
+        M.put([at[r] + j for j, col in enumerate(cols) for r, _ in col if r in at],
+              [x for col in cols for r, x in col if r in at])
+        M.flags.writeable = False
         return M
 
     def __repr__(self) -> str:
@@ -141,26 +162,18 @@ class ChainComplex:
         return f"ChainComplex(F{self.field.p}, dims={dims})"
 
 
-def _sparse_columns(M: np.ndarray) -> list[list[tuple[int, int]]]:
-    """The nonzeros (row, entry) of each column of M, as Python ints."""
-    cols: list[list[tuple[int, int]]] = [[] for _ in range(M.shape[1])]
-    rs, cs = M.nonzero()
-    for i, j, v in zip(rs.tolist(), cs.tolist(), M[rs, cs].tolist()):
-        cols[j].append((i, v))
-    return cols
-
-
-def _composes_to_zero(lower: list, upper: list, p: int) -> bool:
-    """Whether d_k d_{k+1} = 0 mod p, from the sparse columns of each: each
-    column of d_{k+1} combines the columns of d_k that it names."""
-    for col in upper:
+def _compose(outer: Sequence[Column], inner: Sequence[Column], p: int) -> list[dict[int, int]]:
+    """The columns of outer @ inner mod p, each as {row: entry} of its
+    nonzeros: column j combines the columns of outer that column j of inner
+    names."""
+    out = []
+    for col in inner:
         acc: dict[int, int] = {}
         for i, a in col:
-            for r, b in lower[i]:
+            for r, b in outer[i]:
                 acc[r] = acc.get(r, 0) + a * b
-        if any(x % p for x in acc.values()):
-            return False
-    return True
+        out.append({r: x % p for r, x in acc.items() if x % p})
+    return out
 
 
 def chain_complex(S: SimplicialComplex, field: PrimeField) -> ChainComplex:
@@ -169,19 +182,12 @@ def chain_complex(S: SimplicialComplex, field: PrimeField) -> ChainComplex:
     Boundary signs follow the usual alternating-face rule on sorted vertex
     tuples; over F_2 the signs collapse as expected.
     """
-    labels = {k: list(v) for k, v in S.simplices.items()}
-    index = {k: {s: i for i, s in enumerate(v)} for k, v in labels.items()}
-    boundaries = {}
-    for k in labels:
-        if k == 0:
-            continue
-        M = field.zeros(len(labels[k - 1]), len(labels[k]))
-        for j, s in enumerate(labels[k]):
-            for i in range(len(s)):
-                face = s[:i] + s[i + 1:]
-                M[index[k - 1][face], j] = (-1) ** i % field.p
-        boundaries[k] = M
-    return ChainComplex(field, labels, boundaries)
+    columns = {}
+    for k in range(1, S.dimension + 1):
+        row = {s: i for i, s in enumerate(S.simplices[k - 1])}
+        faces = [(i, (-1) ** i % field.p) for i in range(k + 1)]
+        columns[k] = [[(row[s[:i] + s[i + 1:]], sign) for i, sign in faces] for s in S.simplices[k]]
+    return ChainComplex(field, S.simplices, columns)
 
 
 def _sorted_with_sign(verts: tuple) -> tuple[tuple, int]:
@@ -213,6 +219,7 @@ def induced_chain_map(vmap: Mapping, src: SimplicialComplex, tgt: SimplicialComp
     p = src_chain.field.p
     tgt_index = {k: {s: i for i, s in enumerate(v)} for k, v in tgt.simplices.items()}
     f: ColumnMap = {}
+    sparse: dict[int, list[Column]] = {}  # f as columns, for _compose
     for k, simps in src.simplices.items():
         cols, coefs = [], []
         for s in simps:
@@ -229,17 +236,11 @@ def induced_chain_map(vmap: Mapping, src: SimplicialComplex, tgt: SimplicialComp
             cols.append(col)
             coefs.append(sign % p)
         f[k] = (np.array(cols, dtype=np.int64), np.array(coefs, dtype=np.int64))
+        sparse[k] = [((c, a),) if c >= 0 else () for c, a in zip(cols, coefs)]
     for k in src_chain.degrees()[1:]:  # every degree above the vertices
-        # d f = f d, both sides as tgt.dim(k-1) x src.dim(k) matrices
-        lhs = np.zeros((tgt_chain.dim(k - 1), src_chain.dim(k)), dtype=np.int64)
-        rhs = lhs.copy()
-        cols, coefs = f[k]
-        kept = cols >= 0
-        lhs[:, kept] = tgt_chain.boundary(k)[:, cols[kept]] * coefs[kept] % p
-        cols, coefs = f[k - 1]
-        kept = cols >= 0
-        np.add.at(rhs, cols[kept], src_chain.boundary(k)[kept] * coefs[kept, None] % p)
-        if not np.array_equal(lhs, rhs % p):
+        # d f = f d, column by column over the degree-k source basis
+        if (_compose(tgt_chain.columns.get(k, ()), sparse[k], p)
+                != _compose(sparse[k - 1], src_chain.columns[k], p)):
             raise ValueError(f"chain map fails to commute at degree {k}")
     return f
 
@@ -261,8 +262,7 @@ class HomologyBasis:
         self.k = k
         self.representatives = representatives
         self.projection = projection
-        representatives.flags.writeable = False
-        projection.flags.writeable = False
+        representatives.flags.writeable = projection.flags.writeable = False
 
     @property
     def rank(self) -> int:
@@ -283,11 +283,13 @@ def homology(C: ChainComplex, k: int) -> HomologyBasis:
     the projection is its projection read at the free rows.
     """
     field, n = C.field, C.dim(k)
+    if not n:  # no k-cells, as in any degree above a fiber's dimension
+        return HomologyBasis(C, k, field.zeros(0, 0), field.zeros(0, 0))
     Z = field.kernel_basis(C.boundary(k))
     free = np.where(Z != 0, np.arange(n)[:, None], -1).max(axis=0, initial=-1)
     if not np.array_equal(Z[free], field.identity(len(free))):
         raise ValueError("cycle basis is not the identity on its free rows")
-    chosen, proj = field.quotient_map(C.boundary(k + 1)[free])
+    chosen, proj = field.quotient_map(C.boundary(k + 1, free.tolist()))
     projection = field.zeros(len(chosen), n)
     projection[:, free] = proj
     return HomologyBasis(C, k, Z[:, chosen], projection)
@@ -354,24 +356,23 @@ def telescope(nodes: Sequence[ChainComplex],
         labels[k] = [(tag, t, x) for tag, t, xs in blocks for x in xs]
         start[k] = list(itertools.accumulate((len(xs) for _, _, xs in blocks), initial=0))
 
-    boundaries = {}
+    columns: dict[int, list] = {}
     for k in range(1, top + 1):
-        M = field.zeros(len(labels[k - 1]), len(labels[k]))
-        rows, cols = start[k - 1], start[k]
+        rows = start[k - 1]
+        cols = columns[k] = []
         for t, V in enumerate(nodes):
-            M[rows[t]:rows[t + 1], cols[t]:cols[t + 1]] = V.boundary(k)
+            cols += [[(rows[t] + i, x) for i, x in col] for col in V.columns.get(k, ())]
         for t, (E, l, r) in enumerate(edges):
             if not E.dim(k - 1):
                 continue
-            col0 = cols[n + t]
-            for f, node, sign in ((l, t, -1), (r, t + 1, 1)):
-                tgt, coefs = f[k - 1]
-                kept = np.flatnonzero(tgt >= 0)
-                M[rows[node] + tgt[kept], col0 + kept] = sign * coefs[kept] % p
-            M[rows[n + t]:rows[n + t + 1], col0:cols[n + t + 1]] = -E.boundary(k - 1) % p
-        boundaries[k] = M
+            ends = [(rows[s], c.tolist(), (sign * a % p).tolist())
+                    for s, (c, a), sign in ((t, l[k - 1], -1), (t + 1, r[k - 1], 1))]
+            # the column of e is r(e) - l(e) - shift(de)
+            cols += [[(rows[n + t] + i, p - x) for i, x in col]
+                     + [(at + c[j], a[j]) for at, c, a in ends if c[j] >= 0]
+                     for j, col in enumerate(E.columns[k - 1])]
 
-    return ChainComplex(field, labels, boundaries)
+    return ChainComplex(field, labels, columns)
 
 
 def _closed_columns(C: ChainComplex, columns: Mapping[int, Sequence[int]]
@@ -379,18 +380,18 @@ def _closed_columns(C: ChainComplex, columns: Mapping[int, Sequence[int]]
     """Sorted chosen columns per degree, checked to be closed under d."""
     cols = {k: sorted(set(columns.get(k, ()))) for k in C.degrees()}
     for k in C.degrees():
-        keep = np.zeros(C.dim(k - 1), dtype=bool)
-        keep[cols.get(k - 1, [])] = True
-        if C.boundary(k)[:, cols[k]][~keep].any():
+        keep = set(cols.get(k - 1, ()))
+        if any(r not in keep for j in cols[k] for r, _ in C.columns[k][j]):
             raise ValueError(f"columns are not closed under the boundary at degree {k}")
     return cols
 
 
 def _coordinate_complex(C: ChainComplex, cols: dict[int, list[int]]) -> ChainComplex:
-    labels = {k: [C.labels[k][i] for i in cols[k]] for k in C.degrees()}
-    boundaries = {k: C.boundary(k)[np.ix_(cols.get(k - 1, []), cols[k])]
-                  for k in C.degrees()}
-    return ChainComplex(C.field, labels, boundaries)
+    """The chosen columns of C, with their rows among the chosen ones."""
+    row = {k: {r: i for i, r in enumerate(rs)} for k, rs in cols.items()}
+    return ChainComplex(C.field, {k: [C.labels[k][i] for i in js] for k, js in cols.items()}, {
+        k: [[(row[k - 1][r], x) for r, x in C.columns[k][j] if r in row.get(k - 1, ())]
+            for j in js] for k, js in cols.items()})
 
 
 def subcomplex(C: ChainComplex, columns: Mapping[int, Sequence[int]]

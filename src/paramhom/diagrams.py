@@ -23,6 +23,7 @@ content of the decoration-typing check in the test suite.
 from __future__ import annotations
 
 import math
+import numbers
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
@@ -139,21 +140,23 @@ def contains(R: Rectangle, pt: DecoratedPoint) -> bool:
             and (R.c, 0) < _decorated(pt.q, pt.qdec) < (R.d, 0))
 
 
+def _count(m) -> int:
+    if isinstance(m, bool) or not isinstance(m, numbers.Integral) or m < 0:
+        raise ValueError(f"multiplicity {m!r} is not a nonnegative integer")
+    return int(m)
+
+
 class DecoratedDiagram:
     """Multiset of decorated points."""
 
     def __init__(self, points: Mapping[DecoratedPoint, int] | Iterable[DecoratedPoint] = ()):
         if isinstance(points, Mapping):
-            self._points = Counter({k: int(v) for k, v in points.items() if v})
+            self._points = Counter({k: m for k, v in points.items() if (m := _count(v))})
         else:
             self._points = Counter(points)
-        if any(m < 0 for m in self._points.values()):
-            raise ValueError("multiplicities must be nonnegative")
 
     def add(self, pt: DecoratedPoint, multiplicity: int = 1) -> None:
-        if multiplicity < 0:
-            raise ValueError("multiplicities must be nonnegative")
-        self._points[pt] += multiplicity
+        self._points[pt] += _count(multiplicity)
 
     def points(self) -> list[tuple[DecoratedPoint, int]]:
         return sorted(((p, m) for p, m in self._points.items() if m),

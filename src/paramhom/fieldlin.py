@@ -1,12 +1,13 @@
 """Exact linear algebra over a prime field F_p.
 
 Matrices are numpy int64 arrays with entries reduced into [0, p), on the
-way in and on the way out.  Elimination runs on sparse rows: `rref` reads
-the nonzeros of its input into rows of Python ints, reduces those, and
-writes the reduced form back as an int64 array, so its elimination work
-follows the nonzeros, not the shape.  All routines are deterministic:
-rows and columns are scanned in index order, so pivot choices depend only
-on the input matrix, never on hashing or timing.
+way in and on the way out; an input entry that int64 does not hold exactly
+is refused, never truncated or wrapped.  Elimination runs on sparse rows:
+`rref` reads the nonzeros of its input into rows of Python ints, reduces
+those, and writes the reduced form back as an int64 array, so its
+elimination work follows the nonzeros, not the shape.  All routines are
+deterministic: rows and columns are scanned in index order, so pivot
+choices depend only on the input matrix, never on hashing or timing.
 
 numpy is used purely as an exact integer container with vectorized
 arithmetic; there is no floating point anywhere in this module.
@@ -62,8 +63,18 @@ class PrimeField:
     # -- array plumbing ----------------------------------------------------
 
     def normalize(self, M) -> np.ndarray:
-        """Coerce to an int64 array with entries reduced into [0, p)."""
-        A = np.asarray(M, dtype=np.int64)
+        """Coerce to an int64 array with entries reduced into [0, p).  An entry
+        int64 does not hold exactly, such as 0.5 or 2**64, raises ValueError."""
+        A = np.asarray(M)
+        if A.dtype != np.int64:
+            with np.errstate(invalid="ignore"):  # a cast out of range fails the test
+                try:
+                    B = A.astype(np.int64) if A.dtype.kind in "biufO" else None
+                except (TypeError, ValueError, OverflowError):
+                    B = None
+            if B is None or not (B == A).all():
+                raise ValueError(f"a {A.dtype} matrix entry is not an integer int64 holds")
+            A = B
         if A.ndim != 2:
             raise ValueError(f"expected a matrix, got ndim={A.ndim}")
         return A % self.p
@@ -156,12 +167,9 @@ class PrimeField:
         j-th free column and is supported on pivot columns otherwise, so the
         result is deterministic and in column-index order.
         """
-        A = self.normalize(M)
-        cols = A.shape[1]
-        R, pivots = self.rref(A)
-        pivot_set = set(pivots)
-        free = [c for c in range(cols) if c not in pivot_set]
-        K = self.zeros(cols, len(free))
+        R, pivots = self.rref(M)
+        free = sorted(set(range(R.shape[1])) - set(pivots))
+        K = self.zeros(R.shape[1], len(free))
         K[free, range(len(free))] = 1
         K[pivots] = -R[:len(pivots), free] % self.p
         return K
@@ -169,8 +177,7 @@ class PrimeField:
     def column_space_basis(self, M) -> np.ndarray:
         """The pivot columns of M (leftmost independent subset)."""
         A = self.normalize(M)
-        _, pivots = self.rref(A)
-        return A[:, pivots]
+        return A[:, self.rref(A)[1]]
 
     def quotient_map(self, B) -> tuple[list[int], np.ndarray]:
         """Present the quotient F^n / span(B), for any n x m matrix B.

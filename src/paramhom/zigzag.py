@@ -32,6 +32,7 @@ dimensions, so n nodes of dimension at most d take O(n d^3).
 
 from __future__ import annotations
 
+import numbers
 from collections import Counter
 from dataclasses import dataclass
 from itertools import accumulate
@@ -63,6 +64,9 @@ class ZigzagModule:
     arrows: list[tuple[str, np.ndarray]]
 
     def __post_init__(self):
+        if any(isinstance(d, bool) or not isinstance(d, numbers.Integral) or d < 0
+               for d in self.dims):
+            raise ValueError(f"dimensions must be nonnegative integers, got {self.dims!r}")
         self.dims = [int(d) for d in self.dims]
         if len(self.arrows) != max(len(self.dims) - 1, 0):
             raise ValueError("need exactly one arrow per consecutive pair")
@@ -79,8 +83,6 @@ class ZigzagModule:
                 raise ValueError(f"arrow {i}: shape {M.shape} != {want}")
             fixed.append((direction, M))
         self.arrows = fixed
-        if any(d < 0 for d in self.dims):
-            raise ValueError("negative dimension")
 
     @property
     def n(self) -> int:

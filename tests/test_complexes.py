@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import itertools
 import os
+import random
 import subprocess
 import sys
 
@@ -25,7 +26,7 @@ from paramhom.complexes import (
 from paramhom.fieldlin import PrimeField
 
 from corpus import euler_characteristic
-from oracles import dense_coordinate_map
+from oracles import ChainMap, dense_coordinate_map
 
 F2, F3, F5 = PrimeField(2), PrimeField(3), PrimeField(5)
 
@@ -240,10 +241,60 @@ def test_telescope_euler_characteristic(data):
     assert homology(tel, 0).rank == 1
 
 
+def _columns(M, p: int) -> list[list[tuple[int, int]]]:
+    """The sparse columns of a dense matrix over F_p."""
+    M = np.asarray(M) % p
+    return [[(i, int(M[i, j])) for i in np.flatnonzero(M[:, j]).tolist()]
+            for j in range(M.shape[1])]
+
+
 def test_chain_complex_rejects_broken_boundary():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="d o d != 0 at degree 2"):
         ChainComplex(F2, {0: ["a"], 1: ["e"], 2: ["t"]},
-                     {1: [[1]], 2: [[1]]})
+                     {1: [[(0, 1)]], 2: [[(0, 1)]]})
+
+
+@pytest.mark.parametrize("columns, message", [
+    ({1: [[(0, 0.9), (1, -0.9)]]}, "0.9 that is not an int"),  # was read as 0: H_0 of rank 2
+    ({1: [[(0, np.int64(1)), (1, 2)]]}, "not an int"),
+    ({1: [[(0, True), (1, 2)]]}, "not an int"),
+    ({1: [[(0.0, 1), (1, 2)]]}, "not an int"),
+    ({1: [[(0, 1), (2, 2)]]}, r"row outside 0\.\.1"),
+    ({1: [[(-1, 1), (1, 2)]]}, r"row outside 0\.\.1"),
+    ({1: [[(0, 1), (1, 3)]]}, r"entry outside 1\.\.2"),  # entries are reduced residues
+    ({1: [[(0, -1), (1, 1)]]}, r"entry outside 1\.\.2"),
+    ({1: [[(0, 0), (1, 1)]]}, r"entry outside 1\.\.2"),  # and nonzero
+    ({1: [[(0, 1), (0, 2)]]}, "twice in one column"),
+    ({1: [[(0, 1)], []]}, "2 columns for 1 cells"),
+    ({1: [[1, 2]]}, "not columns of"),
+    ({1: [[(0, 1, 2)]]}, "not columns of"),
+    ({1: np.array([[1], [2]])}, "not columns of"),  # a dense matrix is not columns
+    ({1: np.array([[1, 2]])}, "not columns of"),
+    ({2: [[(0, 1)]]}, "1 columns for 0 cells"),
+])
+def test_chain_complex_refuses_malformed_columns(columns, message):
+    labels = {0: ["a", "b"], 1: ["e"]}
+    with pytest.raises(ValueError, match=message):
+        ChainComplex(F3, labels, columns)
+    C = ChainComplex(F3, labels, {1: [[[1, 1], (0, 2)]]})
+    assert C.columns[1] == (((1, 1), (0, 2)),)
+    assert C.boundary(1).tolist() == [[2], [1]] and homology(C, 0).rank == 1
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([2, 3, 33554393]), st.integers(0, 4), st.integers(0, 4),
+       st.integers(0, 4), st.data())
+def test_compose_matches_dense_product(p, n0, n1, n2, data):
+    def reduced(rows, cols):
+        entries = st.sampled_from([0, 0, 0, 1, 2 % p, p - 1])
+        return np.array(data.draw(st.lists(entries, min_size=rows * cols,
+                                           max_size=rows * cols)),
+                        dtype=np.int64).reshape(rows, cols)
+
+    outer, inner = reduced(n0, n1), reduced(n1, n2)
+    got = complexes._compose(_columns(outer, p), _columns(inner, p), p)
+    want = PrimeField(p).matmul(outer, inner)
+    assert got == [dict(c) for c in _columns(want, p)]
 
 
 @pytest.mark.parametrize("field", [F2, F3])
@@ -257,8 +308,8 @@ def test_every_perturbed_boundary_entry_breaks_d_o_d(field):
             d = {m: np.array(C.boundary(m)) for m in (1, 2, 3)}
             d[k][i, j] += 1
             with pytest.raises(ValueError, match=f"d o d != 0 at degree {max(k, 2)}"):
-                ChainComplex(field, dict(C.labels), d)
-    ChainComplex(field, dict(C.labels), dict(C.boundaries))
+                ChainComplex(field, dict(C.labels), {m: _columns(d[m], field.p) for m in d})
+    ChainComplex(field, dict(C.labels), dict(C.columns))
 
 
 @settings(max_examples=150, deadline=None)
@@ -278,9 +329,9 @@ def test_d_o_d_check_matches_dense_product(p, n0, n1, n2, data):
     labels = {0: list(range(n0)), 1: list(range(n1)), 2: list(range(n2))}
     if field.matmul(d1 % p, d2 % p).any():
         with pytest.raises(ValueError, match="d o d != 0 at degree 2"):
-            ChainComplex(field, labels, {1: d1, 2: d2})
+            ChainComplex(field, labels, {1: _columns(d1, p), 2: _columns(d2, p)})
     else:
-        ChainComplex(field, labels, {1: d1, 2: d2})
+        ChainComplex(field, labels, {1: _columns(d1, p), 2: _columns(d2, p)})
 
 
 def test_chain_map_rejects_non_commuting_matrices(monkeypatch):
@@ -293,12 +344,98 @@ def test_chain_map_rejects_non_commuting_matrices(monkeypatch):
         induced_chain_map({0: 1, 1: 0}, seg, seg, C, C)
 
 
+def _sign_flipper(seed: int):
+    """_sorted_with_sign with the sign flipped on a seeded subset of the
+    sorted vertex tuples, the same subset on every call."""
+    def flipped(verts):
+        ordered, sign = original(verts)
+        return ordered, -sign if random.Random(f"{seed} {ordered}").random() < 0.3 else sign
+
+    original = complexes._sorted_with_sign
+    return flipped
+
+
+def _simplicial_column_map(vmap, src, tgt, sorted_with_sign, p):
+    """The column map induced_chain_map builds, with its sign rule given."""
+    f = {}
+    for k, simps in src.simplices.items():
+        index = {s: i for i, s in enumerate(tgt.simplices.get(k, ()))}
+        cols, coefs = [], []
+        for s in simps:
+            image = tuple(vmap[v] for v in s)
+            if len(set(image)) < len(image):
+                cols.append(-1)
+                coefs.append(0)
+            else:
+                ordered, sign = sorted_with_sign(image)
+                cols.append(index[ordered])
+                coefs.append(sign % p)
+        f[k] = (cols, coefs)
+    return f
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_commutation_check_agrees_with_dense_chain_map(monkeypatch, p):
+    # the sparse check of d f = f d must fail exactly where the dense one does
+    field, verdicts = PrimeField(p), set()
+    for seed in range(150):
+        rng = random.Random(seed)
+        verts = list(range(rng.randint(1, 5)))
+        src = SimplicialComplex([(v,) for v in verts] + [
+            s for size in (2, 3, 4) for s in itertools.combinations(verts, size)
+            if rng.random() < 0.5])
+        vmap = {v: rng.randrange(4) for v in verts}
+        tgt = SimplicialComplex([tuple({vmap[v] for v in s}) for row in src.simplices.values()
+                                 for s in row] + [rng.sample(range(4), 2)])
+        Cs, Ct = chain_complex(src, field), chain_complex(tgt, field)
+        flipped = _sign_flipper(seed)
+        want = _simplicial_column_map(vmap, src, tgt, flipped, p)
+        matrices = {}
+        for k, (cols, coefs) in want.items():
+            M = np.zeros((Ct.dim(k), Cs.dim(k)), dtype=np.int64)
+            for j, (c, a) in enumerate(zip(cols, coefs)):
+                if c >= 0:
+                    M[c, j] = a
+            matrices[k] = M
+        try:
+            ChainMap(Cs, Ct, matrices)
+            dense_ok = True
+        except ValueError as e:
+            assert "commute" in str(e)
+            dense_ok = False
+        monkeypatch.setattr(complexes, "_sorted_with_sign", flipped)
+        try:
+            got = induced_chain_map(vmap, src, tgt, Cs, Ct)
+        except ValueError as e:
+            assert "commute" in str(e) and not dense_ok, seed
+        else:
+            assert dense_ok, seed
+            assert {k: (c.tolist(), a.tolist()) for k, (c, a) in got.items()} == want
+        monkeypatch.undo()
+        verdicts.add(dense_ok)
+    assert verdicts == {True, False}
+
+
+def test_telescope_of_a_long_tube_stays_small():
+    # boundaries are kept as sparse columns: dense int64 storage of this
+    # telescope's three boundaries took over 400 MB
+    here = os.path.dirname(os.path.abspath(__file__))
+    code = ("import resource; from corpus import tube_space; "
+            "tube_space(20, 100).telescope(); "
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=os.pathsep.join(
+                              [os.path.join(here, os.pardir, "src"), here])),
+                          timeout=120, check=True)
+    assert int(proc.stdout) < 80 * 1024  # ru_maxrss is in KiB on Linux
+
+
 def test_checks_survive_optimized_mode():
     header = ("from paramhom.complexes import ChainComplex, SimplicialComplex, "
               "chain_complex, telescope; from paramhom.fieldlin import PrimeField; ")
     cases = [
         ("ChainComplex(PrimeField(2), {0: ['a'], 1: ['e'], 2: ['t']}, "
-         "{1: [[1]], 2: [[1]]})", "ValueError: d o d != 0"),
+         "{1: [[(0, 1)]], 2: [[(0, 1)]]})", "ValueError: d o d != 0"),
         ("C = chain_complex(SimplicialComplex([(0,)]), PrimeField(2)); "
          "telescope([C, C], [])", "ValueError: 2 nodes need 1 edges"),
         ("from paramhom.complexes import homology; "
@@ -338,7 +475,9 @@ def test_chain_complex_is_read_only():
     with pytest.raises(ValueError, match="read-only"):
         C.boundary(1)[0, 0] = 2
     with pytest.raises(TypeError):
-        C.boundaries[1] = C.boundary(2)
+        C.columns[1] = C.columns[2]
+    with pytest.raises(AttributeError):
+        C.columns[1][0].append((0, 1))
     h = homology(C, 0)
     with pytest.raises(ValueError, match="read-only"):
         h.representatives[0, 0] = 2

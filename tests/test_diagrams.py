@@ -177,6 +177,18 @@ class TestDiagram:
         assert D.multiplicity(point(0.0, 1.0, CC)) == 3
         assert D.total() == 3
 
+    def test_multiplicities_are_integers(self):
+        # 1.5 would count as 1 and "2" as 2
+        pt = point(0.0, 1.0, CC)
+        for m in (1.5, "2", 0.0, True, -1):
+            with pytest.raises(ValueError, match="multiplicit"):
+                DecoratedDiagram({pt: m})
+        D = DecoratedDiagram({pt: 1})
+        for m in (0.5, "1", -1):
+            with pytest.raises(ValueError, match="multiplicit"):
+                D.add(pt, m)
+        assert D.total() == 1
+
     def test_equality_ignores_zero_entries(self):
         D = DecoratedDiagram({point(0.0, 1.0, CC): 1, point(2.0, 3.0, CC): 0})
         assert D == DecoratedDiagram({point(0.0, 1.0, CC): 1})

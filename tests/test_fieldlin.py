@@ -73,6 +73,31 @@ def test_rref_of_dependent_rows():
     assert R.tolist() == [[1, 0, 0, 0], [0, 1, 0, 4], [0, 0, 1, 1], [0, 0, 0, 0]]
 
 
+@pytest.mark.parametrize("M", [
+    [[0.5]], [[1.5, 2]], [[float("nan")]], [[float("inf")]], [[2.0 ** 63]],
+    [[2 ** 64]], [[-(2 ** 63) - 1]], np.array([[2 ** 63]], dtype=np.uint64),
+    np.array([[1, None]], dtype=object), np.array([[3, 0.25]], dtype=object),
+    [["1"]], [[1j]],
+], ids=repr)
+def test_inexact_entries_are_refused(M):
+    # truncating 1.5 to 1 or wrapping 2**63 to -2**63 would answer for
+    # another matrix; each is refused before any elimination
+    with pytest.raises(ValueError, match="entr"):
+        PrimeField(3).normalize(M)
+    with pytest.raises(ValueError, match="entr"):
+        PrimeField(3).rref(M)
+
+
+def test_integral_entries_of_any_dtype_pass():
+    F3 = PrimeField(3)
+    assert F3.normalize(np.zeros((3, 4))).tolist() == [[0] * 4] * 3
+    assert F3.normalize(np.zeros((3, 4))).dtype == np.int64
+    for M in ([[4.0, -1.0]], np.array([[4, 2]], dtype=np.uint64), np.array([[4, -1]], dtype=object),
+              np.array([[4, -1]], dtype=np.int8), [[2 ** 63 - 1, -(2 ** 63)]]):
+        assert F3.normalize(M).tolist() == [[1, np.int64(M[0][1]) % 3]]
+    assert F3.normalize(np.array([[True, False]])).tolist() == [[1, 0]]
+
+
 def test_characteristic_must_be_prime():
     with pytest.raises(ValueError):
         PrimeField(1)

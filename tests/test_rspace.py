@@ -374,9 +374,11 @@ def _permuted(T, key) -> complexes.ChainComplex:
     """T with each degree's columns sorted by key(label), boundaries carried along."""
     order = {k: sorted(range(T.dim(k)), key=lambda c: key(T.labels[k][c]))
              for k in T.degrees()}
+    row = {k: {c: i for i, c in enumerate(cols)} for k, cols in order.items()}
     return complexes.ChainComplex(
         T.field, {k: [T.labels[k][c] for c in cols] for k, cols in order.items()},
-        {k: T.boundary(k)[np.ix_(order.get(k - 1, []), cols)] for k, cols in order.items()})
+        {k: [[(row[k - 1][r], x) for r, x in T.columns[k][c]] for c in cols]
+         for k, cols in order.items()})
 
 
 @pytest.mark.parametrize("layout", sorted(LAYOUTS))

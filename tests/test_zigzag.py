@@ -47,6 +47,18 @@ def test_shape_validation():
         ZigzagModule(F2, [1, 1], [("x", np.zeros((1, 1), dtype=np.int64))])
 
 
+def test_non_integer_input_is_refused():
+    # a dimension of 1.7 read as 1, or an arrow entry of 0.5 read as 0,
+    # would decompose another module
+    with pytest.raises(ValueError, match="integers"):
+        ZigzagModule(F2, [1.7], [])
+    with pytest.raises(ValueError, match="integers"):
+        ZigzagModule(F2, [1, "1"], [("f", [[1]])])
+    with pytest.raises(ValueError, match="not an integer"):  # the arrow entry
+        decompose(ZigzagModule(F2, [1, 1], [("f", [[0.5]])]))
+    assert decompose(ZigzagModule(F2, [np.int64(1), 1], [("f", [[1.0]])])) == {(1, 2): 1}
+
+
 def test_circle_module_golden_values():
     Z = circle_h0_module()
     assert limit_colimit_rank(Z, 2, 4) == 1
